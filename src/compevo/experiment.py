@@ -33,19 +33,21 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import theory
-from .core import EstimateResult
+from .core import EstimateResult, UnsupportedProperty
 from .properties import Property
 from .rng import RngStream
 from .samplers import geometric_terms, uniform_bars_batch
-from .stats import proportion_estimate
+from .stats import INTERVALS, proportion_estimate
 
 CHUNK = 4096  # trials per RNG substream; part of the determinism contract
 SCHEMA_VERSION = 1
+CONFIG_KEYS = {"version", "model", "grid", "property", "trials", "seed", "confidence",
+               "interval", "workers", "timing", "theory"}
 
 
 @dataclass(frozen=True)
@@ -87,12 +89,14 @@ class ExperimentConfig:
     workers: int = 1
     timing: bool = False
     theory_mode: str | None = None  # "some" | "none"
-    raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if doc.get("version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported config version {doc.get('version')!r}")
+        unknown = sorted(set(doc) - CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         model = doc["model"]
         if model not in ("uniform", "geometric"):
             raise ValueError(f"unknown model {model!r}")
@@ -117,11 +121,13 @@ class ExperimentConfig:
         conf = float(doc.get("confidence", 0.95))
         if not (0.0 < conf < 1.0):
             raise ValueError("confidence must be in (0, 1)")
+        interval = doc.get("interval", "wilson")
+        if interval not in INTERVALS:
+            raise ValueError(f"interval must be one of {sorted(INTERVALS)}, got {interval!r}")
         return cls(model=model, grid=grid, prop=prop, trials=trials,
-                   seed=int(doc["seed"]), confidence=conf,
-                   interval=doc.get("interval", "wilson"), workers=int(workers),
-                   timing=bool(doc.get("timing", False)), theory_mode=theory_mode,
-                   raw=doc)
+                   seed=int(doc["seed"]), confidence=conf, interval=interval,
+                   workers=int(workers), timing=bool(doc.get("timing", False)),
+                   theory_mode=theory_mode)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -172,12 +178,17 @@ def _chunk_successes(point: GridPoint, prop: Property, seed: int,
     return int(prop.holds_batch(samples).sum())
 
 
-def _run_task(task) -> tuple[int, int]:
+def _run_task(task) -> tuple[int, int, float]:
+    """(point index, successes, seconds this chunk took in its worker)."""
     point, prop, seed, pi, ci, count = task
-    return pi, _chunk_successes(point, prop, seed, pi, ci, count)
+    t0 = time.perf_counter()
+    hits = _chunk_successes(point, prop, seed, pi, ci, count)
+    return pi, hits, time.perf_counter() - t0
 
 
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
+    # theory first: a real error in it must surface before any Monte Carlo work
+    theory_values = [_theory_value(config, point) for point in config.grid]
     tasks = []
     for pi, point in enumerate(config.grid):
         full, rem = divmod(config.trials, CHUNK)
@@ -185,8 +196,8 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
             tasks.append((point, config.prop, config.seed, pi, ci, CHUNK))
         if rem:
             tasks.append((point, config.prop, config.seed, pi, full, rem))
-    t0 = time.monotonic()
     successes = [0] * len(config.grid)
+    seconds = [0.0] * len(config.grid)
     if config.workers <= 1:
         results = [_run_task(t) for t in tasks]
     else:
@@ -195,17 +206,15 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
             results = list(pool.map(_run_task, tasks, chunksize=1))
         finally:
             pool.shutdown()
-    for pi, s in results:
-        successes[pi] += s
-    elapsed = time.monotonic() - t0
+    for pi, hits, secs in results:
+        successes[pi] += hits
+        seconds[pi] += secs
     rows = []
-    per_point = elapsed / len(config.grid)
     for pi, point in enumerate(config.grid):
         est = proportion_estimate(successes[pi], config.trials, config.seed,
                                   config.confidence, config.interval)
-        tv = _theory_value(config, point)
-        rows.append(SweepRow(point=point, estimate=est, theory_value=tv,
-                             seconds=per_point if config.timing else None))
+        rows.append(SweepRow(point=point, estimate=est, theory_value=theory_values[pi],
+                             seconds=seconds[pi] if config.timing else None))
     return rows
 
 
@@ -216,7 +225,7 @@ def _theory_value(config: ExperimentConfig, point: GridPoint) -> float | None:
         pred = theory.poisson_limit(config.prop.statistic_id,
                                     {**config.prop.params, "spec": config.prop.spec},
                                     point.alpha)
-    except Exception:
+    except UnsupportedProperty:
         return None
     return pred.prob_some() if config.theory_mode == "some" else pred.prob_none()
 

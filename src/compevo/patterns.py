@@ -123,13 +123,6 @@ class MatchReport:
     truncated: bool = False
 
 
-def dense_ranks(window: np.ndarray) -> tuple[int, ...]:
-    """Rank the window values to the canonical ordering-pattern form."""
-    values = sorted(set(window.tolist()))
-    lookup = {v: i for i, v in enumerate(values)}
-    return tuple(lookup[int(v)] for v in window)
-
-
 def _consecutive_match_mask(terms: np.ndarray, kind: PatternKind,
                             pattern: tuple[int, ...]) -> np.ndarray:
     """Boolean array over start positions where the window matches."""
@@ -185,8 +178,8 @@ def _padded_masks(terms: np.ndarray, spec: PatternSpec) -> list[np.ndarray]:
 
 
 def _block_anchor_tuples(block_masks: list[np.ndarray], block_lengths: list[int],
-                         gap_min: int) -> tuple[int, list[tuple[int, ...]] | None]:
-    """Count (and optionally list) increasing anchor tuples via prefix-sum DP.
+                         gap_min: int) -> int:
+    """Count increasing anchor tuples via prefix-sum DP.
 
     Masks must share a common length (see _padded_masks).
     """
@@ -195,7 +188,6 @@ def _block_anchor_tuples(block_masks: list[np.ndarray], block_lengths: list[int]
     ways = [1 if m else 0 for m in block_masks[0]]
     for b in range(1, len(block_masks)):
         shift = block_lengths[b - 1] + gap_min
-        prefix = 0
         prev = ways
         ways = [0] * n
         cum = [0] * (n + 1)
@@ -206,7 +198,7 @@ def _block_anchor_tuples(block_masks: list[np.ndarray], block_lengths: list[int]
                 avail = i - shift + 1  # anchors of previous block must be <= i - shift
                 if avail > 0:
                     ways[i] = cum[avail]
-    return sum(ways), None
+    return sum(ways)
 
 
 def _enumerate_anchor_tuples(block_masks, block_lengths, gap_min, cap):
@@ -248,7 +240,7 @@ def match_vincular(c: TermsLike, spec: PatternSpec, strict: bool = False,
     if any(not m.any() for m in block_masks):
         return MatchReport(exists=False, count=0,
                            positions=() if with_positions else None)
-    count, _ = _block_anchor_tuples(block_masks, lengths, gap_min)
+    count = _block_anchor_tuples(block_masks, lengths, gap_min)
     positions = None
     if with_positions:
         listed, complete = _enumerate_anchor_tuples(block_masks, lengths, gap_min, position_cap)
@@ -343,7 +335,7 @@ def match_nonconsecutive(c: TermsLike, spec: PatternSpec,
     if not count_occurrences:
         return MatchReport(exists=exists, count=1 if exists else 0, truncated=True)
     masks = _padded_masks(terms, spec)
-    count, _ = _block_anchor_tuples(masks, [1] * len(pattern), 0)
+    count = _block_anchor_tuples(masks, [1] * len(pattern), 0)
     return MatchReport(exists=exists, count=count)
 
 

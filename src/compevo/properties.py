@@ -5,7 +5,9 @@ Each id resolves to
 * a scalar predicate on a single composition (used by the enumeration oracle
   and by brute-force cross-checks), and
 * a vectorized predicate on a (trials, n) sample matrix (the Monte Carlo
-  fast path; all loops are over pattern length, not trials).
+  fast path).  Its loops run over pattern length and block count, never over
+  trials, with one exception: a nonconsecutive ordering pattern has no
+  greedy scan, so it is decided by one depth-first ``patterns.match`` per row.
 
 Ids double as the selector for the theory module's Poisson means and
 threshold locations and for the geometric DP oracle.
@@ -143,16 +145,22 @@ class Property:
             return _has_true_run(samples == k, k)
         if sid == "any_square":
             kmin = pr.get("min_k", 1)
+            if kmin <= 0:  # largest_square >= 0 always holds
+                return np.ones(samples.shape[0], dtype=bool)
             n = samples.shape[1]
             kmax = min(int(samples.max(initial=0)), n)
             out = np.zeros(samples.shape[0], dtype=bool)
-            for k in range(max(kmin, 1), kmax + 1):
+            for k in range(kmin, kmax + 1):
                 out |= _has_true_run(samples == k, k)
             return out
         if sid in PATTERN_STATISTICS:
             spec = self.spec
             if len(spec.blocks) == 1:
                 return _batch_consecutive(samples, spec)
+            if spec.kind is not PatternKind.ORDERING:
+                return _batch_block_chain(samples, spec)
+            # no greedy scan decides ordering patterns; mixed-block ones raise
+            # UnsupportedProperty from patterns.match on the first row
             return np.fromiter((patterns.match(row, spec).exists for row in samples),
                                dtype=bool, count=samples.shape[0])
         raise UnsupportedProperty(sid)
@@ -178,18 +186,6 @@ class Property:
         if sid == "carlitz":
             return ("carlitz", {})
         return None
-
-    @property
-    def is_increasing(self) -> bool:
-        """True when adding a ball anywhere can only preserve the property."""
-        sid = self.statistic_id
-        if sid in ("cmax_ge", "tmax_ge", "tmin_ge"):
-            return True
-        if sid in ("upper_consec",):
-            return True
-        if sid == "contains" and self.spec is not None and self.spec.kind is PatternKind.UPPER:
-            return True
-        return False
 
 
 def _has_true_run(mask: np.ndarray, k: int) -> np.ndarray:
@@ -227,27 +223,57 @@ def _min_run_gt(mask: np.ndarray, k: int) -> np.ndarray:
     return mask.any(axis=1) & ~bad
 
 
-def _batch_consecutive(samples: np.ndarray, spec: PatternSpec) -> np.ndarray:
-    """Row-wise existence of a consecutive pattern; loops only over k."""
-    pat = spec.terms
-    k = len(pat)
-    n = samples.shape[1]
-    if k > n:
-        return np.zeros(samples.shape[0], dtype=bool)
-    w = n - k + 1
+def _anchor_mask(samples: np.ndarray, kind: PatternKind,
+                 block: tuple[int, ...]) -> np.ndarray:
+    """(trials, n - len + 1) mask of the anchors where ``block`` matches.
+
+    Loops only over the block length; the caller ensures len(block) <= n.
+    """
+    k = len(block)
+    w = samples.shape[1] - k + 1
     acc = np.ones((samples.shape[0], w), dtype=bool)
-    if spec.kind is PatternKind.ORDERING:
+    if kind is PatternKind.ORDERING:
         for a in range(k):
             for b in range(a + 1, k):
-                want = np.sign(pat[b] - pat[a])
+                want = np.sign(block[b] - block[a])
                 acc &= np.sign(samples[:, b : b + w] - samples[:, a : a + w]) == want
     else:
-        for j, r in enumerate(pat):
+        for j, r in enumerate(block):
             col = samples[:, j : j + w]
-            if spec.kind is PatternKind.EXACT:
+            if kind is PatternKind.EXACT:
                 acc &= col == r
-            elif spec.kind is PatternKind.UPPER:
+            elif kind is PatternKind.UPPER:
                 acc &= col >= r
             else:
                 acc &= col <= r
-    return acc.any(axis=1)
+    return acc
+
+
+def _batch_consecutive(samples: np.ndarray, spec: PatternSpec) -> np.ndarray:
+    """Row-wise existence of a consecutive pattern; loops only over k."""
+    if len(spec.terms) > samples.shape[1]:
+        return np.zeros(samples.shape[0], dtype=bool)
+    return _anchor_mask(samples, spec.kind, spec.terms).any(axis=1)
+
+
+def _batch_block_chain(samples: np.ndarray, spec: PatternSpec) -> np.ndarray:
+    """Row-wise existence of a multi-block exact/upper/lower pattern.
+
+    Blocks must occur in order on disjoint ranges, adjacent blocks allowed
+    (``patterns.match`` with ``strict=False``).  Placing each block at its
+    leftmost anchor after the previous block's end never rules out a later
+    block, so one greedy pass over the blocks decides existence.
+    """
+    trials, n = samples.shape
+    rows = np.arange(trials)
+    ok = np.ones(trials, dtype=bool)
+    pos = np.zeros(trials, dtype=np.intp)  # earliest allowed anchor per row
+    for block in spec.blocks:
+        if len(block) > n:
+            return np.zeros(trials, dtype=bool)
+        mask = _anchor_mask(samples, spec.kind, block)
+        mask &= np.arange(mask.shape[1]) >= pos[:, None]
+        a = mask.argmax(axis=1)
+        ok &= mask[rows, a]
+        pos = a + len(block)
+    return ok

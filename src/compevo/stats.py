@@ -33,14 +33,14 @@ def clopper_pearson_interval(successes: int, trials: int,
     return lo, hi
 
 
+INTERVALS = {"wilson": wilson_interval, "clopper-pearson": clopper_pearson_interval}
+
+
 def proportion_estimate(successes: int, trials: int, seed: int,
                         confidence: float = 0.95, method: str = "wilson") -> EstimateResult:
-    if method == "wilson":
-        lo, hi = wilson_interval(successes, trials, confidence)
-    elif method == "clopper-pearson":
-        lo, hi = clopper_pearson_interval(successes, trials, confidence)
-    else:
+    if method not in INTERVALS:
         raise ValueError(f"unknown interval method {method!r}")
+    lo, hi = INTERVALS[method](successes, trials, confidence)
     phat = successes / trials
     return EstimateResult(point=phat, ci_low=min(lo, phat), ci_high=max(hi, phat),
                           trials=trials, seed=seed, confidence=confidence)

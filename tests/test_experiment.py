@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -43,6 +44,10 @@ def test_config_validation_errors():
         _config(theory={"poisson": "sideways"})
     with pytest.raises(ValueError):
         _config(grid={"n": 100, "m_exponents": [0.5]})  # needs uniform model
+    with pytest.raises(ValueError, match="unknown config keys"):
+        _config(trails=100)
+    with pytest.raises(ValueError, match="interval"):
+        _config(interval="wilsn")
 
 
 def test_parametric_uniform_grid():
@@ -128,6 +133,43 @@ def test_theory_column():
     assert row.theory_value == pytest.approx(1 - math.exp(-1))
     assert row.abs_diff == abs(row.estimate.point - row.theory_value)
     assert row.abs_diff < 0.05
+
+
+def test_theory_error_is_raised_before_the_monte_carlo_run():
+    # cmax_ge without k: the theory's ValueError must surface (the Monte Carlo
+    # chunks would have failed with a KeyError), not become an empty cell
+    cfg = ExperimentConfig.from_dict({
+        "version": 1, "model": "geometric",
+        "grid": {"n": 100, "alphas": [1.0], "param": "p", "exponent": -0.5},
+        "property": {"statistic": "cmax_ge"},
+        "trials": 10, "seed": 3,
+        "theory": {"poisson": "some"},
+    })
+    with pytest.raises(ValueError, match="missing parameters"):
+        run_sweep(cfg)
+
+
+def test_unsupported_theory_leaves_the_cell_empty():
+    cfg = ExperimentConfig.from_dict({
+        "version": 1, "model": "geometric",
+        "grid": {"n": 100, "alphas": [1.0], "param": "p", "exponent": -0.5},
+        "property": {"statistic": "contains", "pattern": "e:1,[0,2]"},
+        "trials": 10, "seed": 3,
+        "theory": {"poisson": "some"},
+    })
+    (row,) = run_sweep(cfg)
+    assert row.theory_value is None and row.abs_diff is None
+
+
+def test_seconds_are_per_point_chunk_times():
+    cfg = _config(grid=[{"n": 50, "p": 0.1}, {"n": 400, "p": 0.3}],
+                  trials=CHUNK + 100, timing=True, workers=1)
+    t0 = time.perf_counter()
+    rows = run_sweep(cfg)
+    wall = time.perf_counter() - t0
+    seconds = [row.seconds for row in rows]
+    assert all(s > 0 for s in seconds)
+    assert sum(seconds) <= wall
 
 
 def test_csv_format():
