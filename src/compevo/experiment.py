@@ -23,8 +23,11 @@ Config schema (JSON, version 1)::
       "interval": "wilson" | "clopper-pearson",
       "workers": 1 | "auto",
       "timing": false,
-      "theory": {"poisson": "some" | "none"}      # optional column
+      "theory": {"poisson": "some" | "none"}      # optional column, alpha grids
     }
+
+Unknown keys are rejected at the top level, in ``property`` and in each grid
+entry.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ CHUNK = 4096  # trials per RNG substream; part of the determinism contract
 SCHEMA_VERSION = 1
 CONFIG_KEYS = {"version", "model", "grid", "property", "trials", "seed", "confidence",
                "interval", "workers", "timing", "theory"}
+PROPERTY_KEYS = {"statistic", "pattern", "params"}
+POINT_KEYS = {"uniform": {"n", "m"}, "geometric": {"n", "p"}}
+M_EXPONENT_KEYS = {"n", "m_exponents"}
+ALPHA_KEYS = {"n", "alphas", "param", "exponent"}
 
 
 @dataclass(frozen=True)
@@ -94,9 +101,7 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if doc.get("version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported config version {doc.get('version')!r}")
-        unknown = sorted(set(doc) - CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
+        _reject_unknown_keys(doc, CONFIG_KEYS, "config")
         model = doc["model"]
         if model not in ("uniform", "geometric"):
             raise ValueError(f"unknown model {model!r}")
@@ -104,6 +109,7 @@ class ExperimentConfig:
         if not grid:
             raise ValueError("grid is empty")
         pdoc = doc["property"]
+        _reject_unknown_keys(pdoc, PROPERTY_KEYS, "property")
         prop = Property(pdoc["statistic"], dict(pdoc.get("params", {})),
                         spec=pdoc.get("pattern"))
         trials = int(doc["trials"])
@@ -134,10 +140,17 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
 
+def _reject_unknown_keys(doc: dict, known: set[str], where: str) -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
+
+
 def _parse_grid(gdoc, model: str) -> list[GridPoint]:
     if isinstance(gdoc, list):
         pts = []
         for entry in gdoc:
+            _reject_unknown_keys(entry, POINT_KEYS[model], "grid point")
             n = int(entry["n"])
             if model == "uniform":
                 pts.append(GridPoint(n=n, model=model, m=int(entry["m"])))
@@ -148,11 +161,13 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
     if "m_exponents" in gdoc:
         if model != "uniform":
             raise ValueError("m_exponents grid needs the uniform model")
+        _reject_unknown_keys(gdoc, M_EXPONENT_KEYS, "grid")
         return [GridPoint(n=n, model=model, m=int(round(n ** c)), alpha=float(c))
                 for c in gdoc["m_exponents"]]
     if "alphas" in gdoc:
         if model != "geometric":
             raise ValueError("alpha grid needs the geometric model")
+        _reject_unknown_keys(gdoc, ALPHA_KEYS, "grid")
         param = gdoc.get("param", "p")
         e = float(gdoc["exponent"])
         pts = []
@@ -219,7 +234,9 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
 
 
 def _theory_value(config: ExperimentConfig, point: GridPoint) -> float | None:
-    if config.theory_mode is None or point.alpha is None:
+    # Poisson limits are in the geometric scale alpha; a uniform grid's alpha
+    # is the exponent c of m = n^c, which is no such scale
+    if config.theory_mode is None or point.alpha is None or point.model == "uniform":
         return None
     try:
         pred = theory.poisson_limit(config.prop.statistic_id,

@@ -224,7 +224,7 @@ def _run_dp_final(n: int, classes: list[float], start, step,
 # ----- consecutive e/u/l pattern existence: exact, value classes collapse ---
 
 def _pattern_classes(spec: PatternSpec, p: float):
-    """Value classes with exact geometric probabilities, plus a match table.
+    """Value classes of an e/u pattern with exact geometric probabilities, plus a match table.
 
     match[class][j] says whether a value of that class matches pattern
     position j.  The class partition is chosen so membership determines every
@@ -239,24 +239,15 @@ def _pattern_classes(spec: PatternSpec, p: float):
         match = [[v == r for r in pat] for v in vals]
         match.append([False] * len(pat))
         return probs, match
-    # upper: v >= r; lower: v <= r.  Intervals between sorted cut points
-    # decide both comparisons.
+    # upper: v >= r is decided by the interval between sorted cut points;
+    # lower patterns split at r + 1 instead (_pattern_classes_lower).
     cuts = sorted(set(pat) | {0})
     edges = cuts + [None]
     probs, reps = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         probs.append(p ** a - (p ** b if b is not None else 0.0))
         reps.append(a)
-    if spec.kind is PatternKind.UPPER:
-        match = [[v >= r for r in pat] for v in reps]
-    else:
-        # within [a, b) the comparison v <= r depends on r only through
-        # whether r >= b-1, i.e. whether the whole interval is below r;
-        # but r is a cut point, so r >= a iff the interval rep a satisfies
-        # a <= r, and every v in [a, b) satisfies v <= r iff b-1 <= r,
-        # which for cut-point r means r >= a is not enough: split at r+1.
-        raise AssertionError("lower handled separately")
-    return probs, match
+    return probs, [[v >= r for r in pat] for v in reps]
 
 
 def _pattern_classes_lower(spec: PatternSpec, p: float):

@@ -56,6 +56,9 @@ class Property:
                       "lower_consec": PatternKind.LOWER, "ordering_consec": PatternKind.ORDERING}
             if sid != "contains" and spec.kind is not expect[sid]:
                 raise UnsupportedProperty(f"pattern kind {spec.kind.value!r} does not fit {sid!r}")
+        # a 0-square has no defined meaning: holds and holds_batch would disagree
+        if sid == "square" and self.params.get("k", 1) < 1:
+            raise ValueError(f"square needs k >= 1, got {self.params['k']}")
 
     # -- scalar route --------------------------------------------------------
 

@@ -2,7 +2,10 @@
 
 Three models plus the coupling bridge:
 
-* geometric: n i.i.d. terms, P(term = k) = q * p**k, by inverse CDF;
+* geometric: n i.i.d. terms, P(term = k) = q * p**k.  Below a cut-off in p
+  only the nonzero terms are drawn: their positions as a Bernoulli(p)
+  process, their values as Geometric(q) on {1, 2, ...}.  At or above it
+  every term is drawn by inverse CDF;
 * uniform via stars and bars: a uniform (n-1)-subset of [m+n-1] read off as
   gap sizes (Floyd's subset sampling, O(n) memory);
 * uniform via the evolutionary chain: m single-ball steps of the Polya urn,
@@ -29,12 +32,48 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must satisfy 0 <= p < 1, got {p}")
 
 
+# Below this p the sparse draw is faster. Median ns per term, inverse CDF /
+# sparse, numpy 2.4.6 on a 2-core x86-64 host:
+#   (4096, 2500):  p=0.1 20.1/6.5  p=0.2 20.7/11.3  p=0.25 18.9/15.3  p=0.3 20.9/20.2
+#   (4096, 200):   p=0.1 10.7/4.9  p=0.2 10.6/9.9   p=0.25 10.4/12.3  p=0.3  9.1/13.3
+#   (10**5, 1):    p=0.1  9.7/4.8  p=0.2  9.9/9.6   p=0.25 10.1/12.2  p=0.3  9.9/17.0
+# The sparse cost grows with p and the inverse-CDF cost does not, so the
+# crossover is p ~ 0.2 for cache-sized matrices and ~0.3 for large ones.
+SPARSE_BELOW = 0.2
+
+
+def _sparse_geometric_terms(shape: tuple[int, ...], p: float, gen: np.random.Generator) -> np.ndarray:
+    """Geometric terms drawn as a flat Bernoulli(p) process of nonzero positions.
+
+    The gaps between nonzero positions are Geometric(p) on {1, 2, ...} and
+    a nonzero term is k >= 1 with probability q p^(k-1), so each term is k
+    with probability q p^k, independently.  Scratch memory is O(nonzeros).
+    """
+    total = math.prod(shape)
+    mean = total * p
+    block = int(mean + 4.0 * math.sqrt(mean)) + 16  # one block almost always reaches the end
+    blocks, reach = [], 0
+    while reach <= total:
+        # a gap past the end ends the process; capping it keeps the sum in int64
+        gaps = np.minimum(gen.geometric(p, size=block), total + 1)
+        positions = np.cumsum(gaps) + (reach - 1)
+        blocks.append(positions)
+        reach = int(positions[-1]) + 1
+    positions = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    positions = positions[:np.searchsorted(positions, total)]
+    out = np.zeros(total, dtype=np.int64)
+    out[positions] = gen.geometric(1.0 - p, size=positions.size)
+    return out.reshape(shape)
+
+
 def geometric_terms(n: int, p: float, rng: RngStream, count: int | None = None) -> np.ndarray:
     """i.i.d. geometric terms; shape (n,) or (count, n)."""
     _check_p(p)
     shape = (n,) if count is None else (count, n)
     if p == 0.0:
         return np.zeros(shape, dtype=np.int64)
+    if p < SPARSE_BELOW:
+        return _sparse_geometric_terms(shape, p, rng.generator)
     u = rng.generator.random(shape)
     # 1-u is in (0, 1], so the log is finite; floor(log(U)/log(p)) is the
     # inverse CDF of P(term = k) = q p^k.

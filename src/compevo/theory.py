@@ -115,10 +115,9 @@ def prob_exact_consecutive_at_position_uniform(n: int, m: int, spec: PatternSpec
         raise UnsupportedProperty("needs an exact consecutive pattern")
     k, s = spec.length, spec.size
     if m < s or n < k or (n == k and m > s):
-        return TheoryPrediction(0.0 if not (n == k and m == s) else 0.0, "probability",
-                                details={"length": k, "size": s})
-    if n == k:  # the pattern covers the whole composition
-        value = exp(-_log_binom(m + n - 1, m)) if m == s else 0.0
+        return TheoryPrediction(0.0, "probability", details={"length": k, "size": s})
+    if n == k:  # the pattern is the whole composition, so m == s here
+        value = exp(-_log_binom(m + n - 1, m))
         return TheoryPrediction(value, "probability", details={"length": k, "size": s})
     value = exp(_log_binom(m - s + n - k - 1, m - s) - _log_binom(m + n - 1, m))
     return TheoryPrediction(value, "probability", details={"length": k, "size": s})
@@ -336,7 +335,7 @@ def _threshold(n: int, exponent: float, param: str, regime: str) -> TheoryPredic
     return TheoryPrediction(value, "threshold_location", regime=regime, exact=False,
                             details={"param": param, "exponent": exponent,
                                      "m_star": transfer_m_star(n, p_star),
-                                     "m_exponent": 1.0 + exponent if param == "q" else 1.0 + exponent})
+                                     "m_exponent": 1.0 + exponent})
 
 
 def threshold_location(statistic_id: str, params: dict, n: int) -> TheoryPrediction:

@@ -48,6 +48,15 @@ def test_config_validation_errors():
         _config(trails=100)
     with pytest.raises(ValueError, match="interval"):
         _config(interval="wilsn")
+    with pytest.raises(ValueError, match="unknown property keys"):
+        _config(property={"statistic": "cmax_ge", "parmas": {"k": 2}})
+    with pytest.raises(ValueError, match="unknown grid point keys"):
+        _config(grid=[{"n": 50, "p": 0.1, "m": 5}])
+    with pytest.raises(ValueError, match="unknown grid keys"):
+        _config(grid={"n": 50, "alphas": [1.0], "exponent": -0.5, "expnent": -1})
+    with pytest.raises(ValueError, match="unknown grid keys"):
+        _config(model="uniform", grid={"n": 50, "m_exponents": [0.5], "param": "p"},
+                property={"statistic": "contains", "pattern": "u:[1,1]"})
 
 
 def test_parametric_uniform_grid():
@@ -158,6 +167,20 @@ def test_unsupported_theory_leaves_the_cell_empty():
         "theory": {"poisson": "some"},
     })
     (row,) = run_sweep(cfg)
+    assert row.theory_value is None and row.abs_diff is None
+
+
+def test_uniform_exponent_grid_leaves_the_theory_cell_empty():
+    # the grid's alpha is the exponent c of m = n^c, not a Poisson scale
+    cfg = ExperimentConfig.from_dict({
+        "version": 1, "model": "uniform",
+        "grid": {"n": 400, "m_exponents": [0.5]},
+        "property": {"statistic": "upper_consec", "pattern": "u:[1,1]"},
+        "trials": 10, "seed": 3,
+        "theory": {"poisson": "some"},
+    })
+    (row,) = run_sweep(cfg)
+    assert row.point.alpha == 0.5
     assert row.theory_value is None and row.abs_diff is None
 
 

@@ -98,3 +98,11 @@ def test_mixed_block_ordering_is_unsupported_on_both_routes():
         prop.holds(samples[0])
     with pytest.raises(UnsupportedProperty):
         prop.holds_batch(samples)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_square_needs_a_positive_side(k):
+    # holds_batch would find a run of k = 0 equal terms on every row, while
+    # holds never finds a 0-square, so the constructor refuses it
+    with pytest.raises(ValueError, match="k >= 1"):
+        Property("square", {"k": k})

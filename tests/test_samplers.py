@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from compevo.core import Composition, count_compositions
-from compevo.oracle import iter_uniform, negbin_log_pmf
+from compevo.oracle import exact_prob_geometric_consecutive, iter_uniform, negbin_log_pmf
+from compevo.properties import Property
 from compevo.rng import RngStream, derive_key, splitmix64
-from compevo.samplers import (bridge_terms, evolve_step, geometric_terms,
-                              sample_bridge, sample_geometric,
+from compevo.samplers import (SPARSE_BELOW, _sparse_geometric_terms, bridge_terms,
+                              evolve_step, geometric_terms, sample_bridge, sample_geometric,
                               sample_geometric_conditioned, sample_uniform_bars,
                               sample_uniform_chain, uniform_bars_batch)
 from compevo.stats import chi_square_gof, chi_square_two_sample
@@ -59,6 +61,81 @@ def test_geometric_marginal():
     probs = np.array([0.5 ** (k + 1) for k in range(kmax)] + [0.5 ** kmax])
     _, pval = chi_square_gof(counts, probs)
     assert pval > ALPHA
+
+
+# -- the sparse path: p below SPARSE_BELOW, count * n spanning many rows ------
+
+P_SPARSE = 0.15
+
+
+def test_sparse_marginal_pmf():
+    assert P_SPARSE < SPARSE_BELOW
+    p, q = P_SPARSE, 1 - P_SPARSE
+    draws = geometric_terms(50, p, RngStream(41), count=4000).ravel()
+    kmax = 5  # the last cell, >= 5, still expects ~15 of the 2e5 draws
+    counts = np.bincount(np.minimum(draws, kmax), minlength=kmax + 1)
+    probs = np.array([q * p ** k for k in range(kmax)] + [p ** kmax])
+    _, pval = chi_square_gof(counts, probs)
+    assert pval > ALPHA
+
+
+def test_sparse_row_counts_are_binomial():
+    # nonzero positions come from one flat process over all rows; each row's
+    # count must still be Binomial(n, p), independently of where rows start
+    n, p = 50, P_SPARSE
+    nonzero = (geometric_terms(n, p, RngStream(42), count=4000) > 0).sum(axis=1)
+    lo, hi = 2, 15
+    counts = np.bincount(np.clip(nonzero, lo, hi) - lo, minlength=hi - lo + 1)
+    binom = sps.binom(n, p)
+    probs = np.concatenate([[binom.cdf(lo)], binom.pmf(np.arange(lo + 1, hi)),
+                            [binom.sf(hi - 1)]])
+    _, pval = chi_square_gof(counts, probs)
+    assert pval > ALPHA
+
+
+def test_sparse_cmax_rate_matches_the_exact_oracle():
+    n, p, trials = 20, P_SPARSE, 20000
+    samples = geometric_terms(n, p, RngStream(43), count=trials)
+    rate = Property("cmax_ge", {"k": 2}).holds_batch(samples).mean()
+    want = exact_prob_geometric_consecutive(n, p, ("cmax_ge", {"k": 2})).value
+    assert abs(rate - want) < 4 * math.sqrt(want * (1 - want) / trials)
+
+
+def test_sparse_reproducibility_bitwise():
+    a = geometric_terms(300, P_SPARSE, RngStream(42, 7), count=40)
+    b = geometric_terms(300, P_SPARSE, RngStream(42, 7), count=40)
+    assert np.array_equal(a, b)
+    c = geometric_terms(300, P_SPARSE, RngStream(42, 8), count=40)
+    assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("n, count, shape", [(7, None, (7,)), (7, 0, (0, 7)),
+                                             (1, 500, (500, 1)), (1, None, (1,))])
+def test_sparse_shapes(n, count, shape):
+    out = geometric_terms(n, P_SPARSE, RngStream(44), count=count)
+    assert out.shape == shape and out.dtype == np.int64 and np.all(out >= 0)
+
+
+def test_sparse_positions_span_gap_blocks():
+    # with the gaps drawn a few at a time the process must continue from the
+    # last position: the nonzero positions are the same as with one block
+    class FewGaps:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def geometric(self, prob, size):
+            return self.gen.geometric(prob, size=min(size, 5) if prob == P_SPARSE else size)
+
+    whole = _sparse_geometric_terms((30, 40), P_SPARSE, RngStream(45).generator)
+    pieces = _sparse_geometric_terms((30, 40), P_SPARSE, FewGaps(RngStream(45).generator))
+    assert np.array_equal(whole > 0, pieces > 0)
+
+
+def test_dense_path_is_the_inverse_cdf():
+    p = SPARSE_BELOW
+    u = RngStream(46).generator.random((20, 30))
+    want = np.floor(np.log1p(-u) / math.log(p)).astype(np.int64)
+    assert np.array_equal(geometric_terms(30, p, RngStream(46), count=20), want)
 
 
 def test_geometric_mean_size():
