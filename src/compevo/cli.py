@@ -352,7 +352,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             else:
                 raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args, out)
-    except (GuardExceeded, UnsupportedProperty) as exc:
+    except (GuardExceeded, UnsupportedProperty, experiment.ChunkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UsageError, PatternSyntaxError, ValueError) as exc:

@@ -26,8 +26,8 @@ Config schema (JSON, version 1)::
       "theory": {"poisson": "some" | "none"}      # optional column, alpha grids
     }
 
-Unknown keys are rejected at the top level, in ``property`` and in each grid
-entry.
+Unknown keys are rejected at the top level, in ``property``, in ``theory`` and
+in each grid entry.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ PROPERTY_KEYS = {"statistic", "pattern", "params"}
 POINT_KEYS = {"uniform": {"n", "m"}, "geometric": {"n", "p"}}
 M_EXPONENT_KEYS = {"n", "m_exponents"}
 ALPHA_KEYS = {"n", "alphas", "param", "exponent"}
+THEORY_KEYS = {"poisson"}
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,7 @@ class ExperimentConfig:
             workers = os.cpu_count() or 1
         theory_mode = None
         if "theory" in doc:
+            _reject_unknown_keys(doc["theory"], THEORY_KEYS, "theory")
             theory_mode = doc["theory"].get("poisson")
             if theory_mode not in ("some", "none"):
                 raise ValueError("theory.poisson must be 'some' or 'none'")
@@ -193,11 +195,20 @@ def _chunk_successes(point: GridPoint, prop: Property, seed: int,
     return int(prop.holds_batch(samples).sum())
 
 
+class ChunkError(RuntimeError):
+    """A chunk failed; the message names its grid point and chunk index."""
+
+
 def _run_task(task) -> tuple[int, int, float]:
     """(point index, successes, seconds this chunk took in its worker)."""
     point, prop, seed, pi, ci, count = task
     t0 = time.perf_counter()
-    hits = _chunk_successes(point, prop, seed, pi, ci, count)
+    try:
+        hits = _chunk_successes(point, prop, seed, pi, ci, count)
+    except Exception as exc:
+        where = f"m={point.m}" if point.model == "uniform" else f"p={point.p}"
+        raise ChunkError(f"grid point {pi} (n={point.n}, {where}), chunk {ci}: "
+                         f"{type(exc).__name__}: {exc}") from exc
     return pi, hits, time.perf_counter() - t0
 
 

@@ -1,16 +1,23 @@
-"""Exact ground truth at small scale, independent of the closed forms.
+"""Exact ground truth, independent of the closed forms.
 
 Two routes:
 
 * uniform model: full lexicographic enumeration; probabilities are exact
   rationals (#satisfying / binom(m+n-1, m));
-* geometric model: a dynamic program over positions and the states of a small
-  automaton that recognizes the property from the term sequence.  Term values
+* geometric model: the transition matrix of a small automaton that
+  recognizes the property from the term sequence, raised to the n-th power
+  by repeated squaring, O(S^3 log n) for S automaton states.  Term values
   are truncated at a cap V; the result is a certified interval [lo, hi] whose
-  width is at most n * p**(V+1), the union bound on any term exceeding V.
+  width is at most n * p**(V+1), the union bound on any term exceeding V
+  (``any_square`` caps the square side instead, see _square_exists_lo).
   Properties whose automaton only needs finitely many value classes (exact,
   upper and lower consecutive patterns, value-specific squares, component and
-  gap run lengths) come out exact, with lo == hi.
+  gap run lengths) come out exact, with lo == hi.  Exact means exact up to
+  float64 rounding, which the interval does not cover: at n = 2*10^4 it
+  measured at most 2.6e-13 against the same matrices powered in 40-digit
+  arithmetic (9 forms, 5 values of p each).  It grows about linearly in n:
+  the criterion-6 forms at p or q = n^(-1/2) were off by up to 2e-9 at
+  n = 10^8 and 2.3e-8 at n = 10^9.
 
 The automata here are built by the active-prefix-set construction, not from
 the product formulas of the theory module, so agreement between the two is a
@@ -126,98 +133,49 @@ def negbin_log_pmf(n: int, p: float, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# geometric model: automaton DP
+# geometric model: automaton transfer matrix
 
-def _geom_probs(p: float, values: list[int]) -> list[float]:
-    q = 1.0 - p
-    return [q * p ** v for v in values]
-
-
-def _run_dp(n: int, classes: list[float], start, step) -> float:
-    """P(reach FOUND within n steps).
+def _transfer(n: int, classes: list[float], start, step,
+              accept: Callable[[object], bool] | None = None) -> float:
+    """P(reach FOUND within n steps), plus P(the state after n steps satisfies
+    ``accept``) when it is given.
 
     ``step(state, class_index)`` returns the next state, FOUND (absorbing
-    success) or DEAD (absorbing failure).  States are explored lazily.
+    success) or DEAD (absorbing failure); states are discovered lazily from
+    ``start``.  The S reachable states and the two absorbing ones make one
+    dense (S+2)x(S+2) transition matrix T, and e_start^T T^n comes from
+    binary powering: O(S^3 log n) work, so n = 10^9 costs about 30
+    squarings.  The result is exact up to float64 rounding in the products,
+    measured at most 2.6e-13 at n = 2*10^4 (the module docstring gives
+    larger n).
     """
-    index = {start: 0}
-    order = [start]
-    trans: list[list[int]] = []
-    FOUND_I, DEAD_I = -1, -2
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for st in frontier:
-            row = []
-            for ci in range(len(classes)):
-                t = step(st, ci)
-                if t == FOUND:
-                    row.append(FOUND_I)
-                elif t == DEAD:
-                    row.append(DEAD_I)
-                else:
-                    if t not in index:
-                        index[t] = len(order)
-                        order.append(t)
-                        nxt.append(t)
-                    row.append(index[t])
-            trans.append(row)
-        frontier = nxt
-    tmat = np.array(trans, dtype=np.int64)
-    probs = np.asarray(classes)
-    v = np.zeros(len(order))
-    v[0] = 1.0
-    found = 0.0
-    for _ in range(n):
-        new = np.zeros_like(v)
-        for ci, w in enumerate(probs):
-            dest = tmat[:, ci]
-            keep = dest >= 0
-            np.add.at(new, dest[keep], w * v[keep])
-            found += w * v[~keep & (dest == -1)].sum()
-        v = new
-    return float(found)
-
-
-def _run_dp_final(n: int, classes: list[float], start, step,
-                  accept: Callable[[object], bool]) -> float:
-    """P(the state after n steps satisfies ``accept``); FOUND/DEAD absorb."""
-    index = {start: 0}
-    order = [start]
-    trans: list[list[int]] = []
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for st in frontier:
-            row = []
-            for ci in range(len(classes)):
-                t = step(st, ci)
-                if t in (FOUND, DEAD):
-                    row.append(-1 if t == FOUND else -2)
-                    continue
-                if t not in index:
-                    index[t] = len(order)
-                    order.append(t)
-                    nxt.append(t)
-                row.append(index[t])
-            trans.append(row)
-        frontier = nxt
-    tmat = np.array(trans, dtype=np.int64)
-    v = np.zeros(len(order))
-    v[0] = 1.0
-    found = dead = 0.0
-    for _ in range(n):
-        new = np.zeros_like(v)
+    states = [FOUND, DEAD, start]  # the absorbing states take rows 0 and 1
+    index = {st: i for i, st in enumerate(states)}
+    edges = []  # (from, to, weight)
+    i = 2
+    while i < len(states):
         for ci, w in enumerate(classes):
-            dest = tmat[:, ci]
-            keep = dest >= 0
-            np.add.at(new, dest[keep], w * v[keep])
-            found += w * v[dest == -1].sum()
-            dead += w * v[dest == -2].sum()
-        v = new
-    total = found
-    for st, i in index.items():
-        if accept(st):
-            total += v[i]
+            t = step(states[i], ci)
+            if t not in index:
+                index[t] = len(states)
+                states.append(t)
+            edges.append((i, index[t], w))
+        i += 1
+    tmat = np.zeros((len(states), len(states)))
+    tmat[0, 0] = tmat[1, 1] = 1.0
+    for i, j, w in edges:
+        tmat[i, j] += w
+    v = np.zeros(len(states))
+    v[2] = 1.0
+    while n:
+        if n & 1:
+            v = v @ tmat
+        n >>= 1
+        if n:
+            tmat = tmat @ tmat
+    total = v[0]
+    if accept is not None:
+        total += sum(v[i] for i in range(2, len(states)) if accept(states[i]))
     return float(total)
 
 
@@ -280,7 +238,7 @@ def _prefix_set_prob(n: int, p: float, spec: PatternSpec) -> float:
         nxt.add(0)
         return frozenset(nxt)
 
-    return _run_dp(n, probs, start, step)
+    return _transfer(n, probs, start, step)
 
 
 # ----- run-length automata over the zero/nonzero alphabet: exact ------------
@@ -294,7 +252,7 @@ def _cmax_ge(n: int, p: float, k: int) -> float:
         if ci == 0:
             return 0
         return FOUND if state + 1 >= k else state + 1
-    return _run_dp(n, _binary_probs(p), 0, step)
+    return _transfer(n, _binary_probs(p), 0, step)
 
 
 def _gmax_ge(n: int, p: float, k: int) -> float:
@@ -302,7 +260,7 @@ def _gmax_ge(n: int, p: float, k: int) -> float:
         if ci == 1:
             return 0
         return FOUND if state + 1 >= k else state + 1
-    return _run_dp(n, _binary_probs(p), 0, step)
+    return _transfer(n, _binary_probs(p), 0, step)
 
 
 def _cmin_gt(n: int, p: float, k: int) -> float:
@@ -322,7 +280,7 @@ def _cmin_gt(n: int, p: float, k: int) -> float:
             return False
         return seen
 
-    return _run_dp_final(n, _binary_probs(p), (0, False), step, accept)
+    return _transfer(n, _binary_probs(p), (0, False), step, accept)
 
 
 def _gmin_gt(n: int, p: float, k: int) -> float:
@@ -338,7 +296,7 @@ def _gmin_gt(n: int, p: float, k: int) -> float:
         run, seen = state
         return seen and not (0 < run <= k)
 
-    return _run_dp_final(n, _binary_probs(p), (0, False), step, accept)
+    return _transfer(n, _binary_probs(p), (0, False), step, accept)
 
 
 # ----- value-tracking automata with truncation ------------------------------
@@ -353,14 +311,10 @@ def _value_cap(n: int, p: float, width: float) -> int:
     return v
 
 
-def _truncated_classes(n: int, p: float, width: float):
-    """Values 0..V each their own class, plus one lumped class for > V."""
-    V = _value_cap(n, p, width)
+def _truncated_classes(p: float, cap: int) -> list[float]:
+    """Values 0..cap each their own class, plus one lumped class for > cap."""
     q = 1.0 - p
-    probs = [q * p ** v for v in range(V + 1)]
-    tail = p ** (V + 1)
-    probs.append(tail)
-    return V, probs, tail
+    return [q * p ** v for v in range(cap + 1)] + [p ** (cap + 1)]
 
 
 BIG = -1  # class index sentinel for the lumped > V values
@@ -368,7 +322,8 @@ BIG = -1  # class index sentinel for the lumped > V values
 
 def _equal_run_lo(n: int, p: float, k: int, nonzero_only: bool, width: float):
     """Pessimistic P(a run of k equal terms exists); big values never extend runs."""
-    V, probs, tail = _truncated_classes(n, p, width)
+    V = _value_cap(n, p, width)
+    probs = _truncated_classes(p, V)
 
     def step(state, ci):
         val = ci if ci <= V else BIG
@@ -383,16 +338,30 @@ def _equal_run_lo(n: int, p: float, k: int, nonzero_only: bool, width: float):
             return FOUND
         return (val, run)
 
-    lo = _run_dp(n, probs, (None, 0), step)
-    return lo, min(n * tail, 1.0)
+    lo = _transfer(n, probs, (None, 0), step)
+    return lo, min(n * p ** (V + 1), 1.0)
 
 
 def _square_exists_lo(n: int, p: float, width: float):
-    """Pessimistic P(some k >= 1 square exists: k consecutive terms equal k)."""
-    V, probs, tail = _truncated_classes(n, p, width)
+    """Pessimistic P(some k >= 1 square exists: k consecutive terms equal k).
+
+    Values above a side cap W share one class: none of them can be part of a
+    square of side <= W, so lo = P(a square of side <= W) is exact.  A square
+    of side s occurs with probability at most n * p**(s*s), so the sides above
+    W add at most n * p**((W+1)**2) / (1 - p), which sets W near the square
+    root of the term cap.  The automaton has about W**2 / 2 states, and the
+    transfer matrix's cost is cubic in that.
+    """
+    def side_tail(w):  # bound on P(a square of side > w); none is longer than n
+        return n * p ** ((w + 1) ** 2) / (1.0 - p) if w < n else 0.0
+
+    W = 0
+    while side_tail(W) > width:
+        W += 1
+    probs = _truncated_classes(p, W)
 
     def step(state, ci):
-        val = ci if ci <= V else BIG
+        val = ci if ci <= W else BIG
         last, run = state
         if val == BIG or val == 0:
             return (BIG, 0)
@@ -401,8 +370,8 @@ def _square_exists_lo(n: int, p: float, width: float):
             return FOUND
         return (val, run)
 
-    lo = _run_dp(n, probs, (BIG, 0), step)
-    return lo, min(n * tail, 1.0)
+    lo = _transfer(n, probs, (BIG, 0), step)
+    return lo, min(side_tail(W), 1.0)
 
 
 # ----- public dispatch ------------------------------------------------------

@@ -29,6 +29,10 @@ SCALAR_STATISTICS = {"cmax_ge", "gmax_ge", "cmin_gt", "gmin_gt", "tmax_ge", "tmi
                      "equal_run", "equal_terms", "carlitz", "increasing_run", "square",
                      "any_square"}
 KNOWN_STATISTICS = PATTERN_STATISTICS | SCALAR_STATISTICS
+# the parameter each statistic cannot be decided without
+REQUIRED_PARAM = {"cmax_ge": "k", "gmax_ge": "k", "cmin_gt": "k", "gmin_gt": "k",
+                  "equal_run": "k", "equal_terms": "k", "increasing_run": "k", "square": "k",
+                  "tmax_ge": "r", "tmin_ge": "r"}
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,11 @@ class Property:
                       "lower_consec": PatternKind.LOWER, "ordering_consec": PatternKind.ORDERING}
             if sid != "contains" and spec.kind is not expect[sid]:
                 raise UnsupportedProperty(f"pattern kind {spec.kind.value!r} does not fit {sid!r}")
+        need = REQUIRED_PARAM.get(sid)
+        if need is not None and need not in self.params:
+            raise ValueError(f"statistic {sid!r} needs parameter {need!r}")
         # a 0-square has no defined meaning: holds and holds_batch would disagree
-        if sid == "square" and self.params.get("k", 1) < 1:
+        if sid == "square" and self.params["k"] < 1:
             raise ValueError(f"square needs k >= 1, got {self.params['k']}")
 
     # -- scalar route --------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
 import math
+import pickle
 import time
 
 import pytest
 
-from compevo.experiment import (CHUNK, CSV_HEADER, ExperimentConfig, GridPoint,
+from compevo import experiment
+from compevo.experiment import (CHUNK, CSV_HEADER, ChunkError, ExperimentConfig, GridPoint,
                                 run_sweep, rows_to_csv, rows_to_json)
 
 
@@ -57,6 +59,10 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="unknown grid keys"):
         _config(model="uniform", grid={"n": 50, "m_exponents": [0.5], "param": "p"},
                 property={"statistic": "contains", "pattern": "u:[1,1]"})
+    with pytest.raises(ValueError, match="needs parameter 'k'"):
+        _config(property={"statistic": "cmax_ge"})
+    with pytest.raises(ValueError, match="unknown theory keys"):
+        _config(theory={"poisson": "some", "bogus": 1})
 
 
 def test_parametric_uniform_grid():
@@ -144,18 +150,39 @@ def test_theory_column():
     assert row.abs_diff < 0.05
 
 
-def test_theory_error_is_raised_before_the_monte_carlo_run():
-    # cmax_ge without k: the theory's ValueError must surface (the Monte Carlo
-    # chunks would have failed with a KeyError), not become an empty cell
+def test_theory_error_is_raised_before_the_monte_carlo_run(monkeypatch):
+    # alpha = 0 is a valid point (p = 0) but no Poisson scale: the theory's
+    # ValueError must surface before any chunk runs, not become an empty cell
     cfg = ExperimentConfig.from_dict({
         "version": 1, "model": "geometric",
-        "grid": {"n": 100, "alphas": [1.0], "param": "p", "exponent": -0.5},
-        "property": {"statistic": "cmax_ge"},
+        "grid": {"n": 100, "alphas": [0.0], "param": "p", "exponent": -0.5},
+        "property": {"statistic": "cmax_ge", "params": {"k": 2}},
         "trials": 10, "seed": 3,
         "theory": {"poisson": "some"},
     })
-    with pytest.raises(ValueError, match="missing parameters"):
+
+    def no_chunks(*args):
+        raise AssertionError("a chunk ran before the theory cells")
+
+    monkeypatch.setattr(experiment, "_chunk_successes", no_chunks)
+    with pytest.raises(ValueError, match="alpha must be positive"):
         run_sweep(cfg)
+
+
+def test_chunk_failure_names_its_place_in_the_sweep(monkeypatch):
+    def fail(point, prop, seed, point_index, chunk_index, count):
+        if point_index == 1 and chunk_index == 1:
+            raise KeyError("k")
+        return 0
+
+    monkeypatch.setattr(experiment, "_chunk_successes", fail)
+    cfg = _config(trials=CHUNK + 1, workers=1)
+    with pytest.raises(ChunkError) as info:
+        run_sweep(cfg)
+    msg = str(info.value)
+    assert msg == "grid point 1 (n=50, p=0.3), chunk 1: KeyError: 'k'"
+    # a pool sends the exception back pickled
+    assert str(pickle.loads(pickle.dumps(info.value))) == msg
 
 
 def test_unsupported_theory_leaves_the_cell_empty():

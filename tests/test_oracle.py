@@ -102,6 +102,16 @@ def test_truncated_properties_bracket_brute_force():
         assert res.width <= 1e-9 + 1e-12
 
 
+def test_any_square_side_cap_brackets_brute_force():
+    # at n = 5, p = 0.2 the side cap is 3: squares of side 4 and 5 are left
+    # to the tail bound and values above 3 share one class
+    res = exact_prob_geometric_consecutive(5, 0.2, ("any_square", {}))
+    ref = _brute_geometric(5, 0.2, Property("any_square"), V=14)
+    tail = 5 * 0.2 ** 15
+    assert res.lo - tail <= ref <= res.hi + tail
+    assert 0.0 < res.width <= 1e-9
+
+
 def test_interval_width_shrinks_with_cap():
     wide = exact_prob_geometric_consecutive(50, 0.6, ("carlitz", {}), width=1e-3)
     tight = exact_prob_geometric_consecutive(50, 0.6, ("carlitz", {}), width=1e-9)
@@ -121,6 +131,45 @@ def test_square_statistic_via_pattern():
     res = exact_prob_geometric_consecutive(4, 0.5, ("square", {"k": 2}))
     ref = _brute_geometric(4, 0.5, Property("square", {"k": 2}))
     assert res.lo == pytest.approx(ref, abs=1e-7)
+
+
+# 40-digit values of the three criterion-6 queries at n = 2*10^4, from the
+# independent mpmath transfer-matrix chains of perfbench/make_references.py
+N6 = 2 * 10 ** 4
+REFERENCE_40_DIGITS = {
+    "cmax_ge": 0.629537438197328475969447374112,
+    "e:[1,1]": 0.624334795430670007874934647693,
+    "cmin_gt": 0.367870796382769106158873255913,
+}
+
+
+def _poisson_form(name, n):
+    """(p, oracle form) of each statistic at its Poisson scale n^(-1/2)."""
+    s = n ** -0.5
+    return {"cmax_ge": (s, ("cmax_ge", {"k": 2})),
+            "e:[1,1]": (s, parse_pattern("e:[1,1]")),
+            "cmin_gt": (1.0 - s, ("cmin_gt", {"k": 1}))}[name]
+
+
+@pytest.mark.parametrize("name", REFERENCE_40_DIGITS)
+def test_exact_forms_match_40_digit_values(name):
+    res = exact_prob_geometric_consecutive(N6, *_poisson_form(name, N6))
+    assert res.width == 0.0
+    assert abs(res.lo - REFERENCE_40_DIGITS[name]) <= 1e-12
+
+
+@pytest.mark.parametrize("name", REFERENCE_40_DIGITS)
+def test_exact_forms_reach_the_poisson_limit(name):
+    # at n = 10^8 the finite-n values lie 3.7e-5, 1.1e-4 and 1.3e-9 from the limit
+    p, form = _poisson_form(name, 10 ** 8)
+    res = exact_prob_geometric_consecutive(10 ** 8, p, form)
+    if name == "cmin_gt":
+        want = theory.poisson_limit("cmin_gt", {"k": 1}, 1.0).prob_none()
+    elif name == "e:[1,1]":
+        want = theory.poisson_limit("exact_consec", {"spec": form}, 1.0).prob_some()
+    else:
+        want = theory.poisson_limit("cmax_ge", {"k": 2}, 1.0).prob_some()
+    assert abs(res.lo - want) <= 5e-4
 
 
 def test_unsupported_properties():

@@ -106,3 +106,14 @@ def test_square_needs_a_positive_side(k):
     # holds never finds a 0-square, so the constructor refuses it
     with pytest.raises(ValueError, match="k >= 1"):
         Property("square", {"k": k})
+
+
+@pytest.mark.parametrize("sid,need", [
+    ("cmax_ge", "k"), ("gmax_ge", "k"), ("cmin_gt", "k"), ("gmin_gt", "k"),
+    ("equal_run", "k"), ("equal_terms", "k"), ("increasing_run", "k"), ("square", "k"),
+    ("tmax_ge", "r"), ("tmin_ge", "r"),
+])
+def test_missing_parameter_fails_at_construction(sid, need):
+    # without the check the first holds_batch call dies with a bare KeyError
+    with pytest.raises(ValueError, match=f"needs parameter '{need}'"):
+        Property(sid, {})
