@@ -143,17 +143,22 @@ REFERENCE_40_DIGITS = {
 }
 
 
-def _poisson_form(name, n):
-    """(p, oracle form) of each statistic at its Poisson scale n^(-1/2)."""
+def _poisson_case(name, n):
+    """(p, oracle form, Poisson limit at alpha = 1) at the scale n^(-1/2)."""
     s = n ** -0.5
+    e11 = parse_pattern("e:[1,1]")
+    limit = {"cmax_ge": theory.poisson_limit("cmax_ge", {"k": 2}, 1.0).prob_some(),
+             "e:[1,1]": theory.poisson_limit("exact_consec", {"spec": e11}, 1.0).prob_some(),
+             "cmin_gt": theory.poisson_limit("cmin_gt", {"k": 1}, 1.0).prob_none()}
     return {"cmax_ge": (s, ("cmax_ge", {"k": 2})),
-            "e:[1,1]": (s, parse_pattern("e:[1,1]")),
-            "cmin_gt": (1.0 - s, ("cmin_gt", {"k": 1}))}[name]
+            "e:[1,1]": (s, e11),
+            "cmin_gt": (1.0 - s, ("cmin_gt", {"k": 1}))}[name] + (limit[name],)
 
 
 @pytest.mark.parametrize("name", REFERENCE_40_DIGITS)
 def test_exact_forms_match_40_digit_values(name):
-    res = exact_prob_geometric_consecutive(N6, *_poisson_form(name, N6))
+    p, form, _ = _poisson_case(name, N6)
+    res = exact_prob_geometric_consecutive(N6, p, form)
     assert res.width == 0.0
     assert abs(res.lo - REFERENCE_40_DIGITS[name]) <= 1e-12
 
@@ -161,15 +166,9 @@ def test_exact_forms_match_40_digit_values(name):
 @pytest.mark.parametrize("name", REFERENCE_40_DIGITS)
 def test_exact_forms_reach_the_poisson_limit(name):
     # at n = 10^8 the finite-n values lie 3.7e-5, 1.1e-4 and 1.3e-9 from the limit
-    p, form = _poisson_form(name, 10 ** 8)
+    p, form, limit = _poisson_case(name, 10 ** 8)
     res = exact_prob_geometric_consecutive(10 ** 8, p, form)
-    if name == "cmin_gt":
-        want = theory.poisson_limit("cmin_gt", {"k": 1}, 1.0).prob_none()
-    elif name == "e:[1,1]":
-        want = theory.poisson_limit("exact_consec", {"spec": form}, 1.0).prob_some()
-    else:
-        want = theory.poisson_limit("cmax_ge", {"k": 2}, 1.0).prob_some()
-    assert abs(res.lo - want) <= 5e-4
+    assert abs(res.lo - limit) <= 5e-4
 
 
 def test_unsupported_properties():
