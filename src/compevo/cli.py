@@ -272,7 +272,7 @@ def _oracle_property(args, kv: dict) -> Property:
     if not args.statistic:
         raise UsageError("oracle needs --pattern or --statistic")
     params = {}
-    for key in ("k", "r"):
+    for key in ("k", "r", "min_k"):
         if key in kv:
             params[key] = int(kv[key])
     if "nonzero" in kv:

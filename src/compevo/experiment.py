@@ -27,7 +27,8 @@ Config schema (JSON, version 1)::
     }
 
 Unknown keys are rejected at the top level, in ``property``, in ``theory`` and
-in each grid entry.
+in each grid entry, and so is a grid point with n < 1, m < 0 or p outside
+[0, 1).
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ class GridPoint:
     @property
     def m_or_p(self) -> float:
         return self.m if self.model == "uniform" else self.p
+
+    @property
+    def label(self) -> str:
+        where = f"m={self.m}" if self.model == "uniform" else f"p={self.p}"
+        scale = "" if self.alpha is None else f", alpha={self.alpha}"
+        return f"n={self.n}, {where}{scale}"
 
 
 @dataclass(frozen=True)
@@ -158,8 +165,10 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
                 pts.append(GridPoint(n=n, model=model, m=int(entry["m"])))
             else:
                 pts.append(GridPoint(n=n, model=model, p=float(entry["p"])))
-        return pts
+        return [_check_point(pt) for pt in pts]
     n = int(gdoc["n"])
+    if n < 1:  # before n ** c, which fails or means nothing for n < 1
+        raise ValueError(f"grid n={n}: need n >= 1")
     if "m_exponents" in gdoc:
         if model != "uniform":
             raise ValueError("m_exponents grid needs the uniform model")
@@ -176,11 +185,20 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
         for a in gdoc["alphas"]:
             scale = float(a) * n ** e
             p = scale if param == "p" else 1.0 - scale
-            if not (0.0 <= p < 1.0):
-                raise ValueError(f"alpha {a} puts p = {p} outside [0, 1)")
-            pts.append(GridPoint(n=n, model=model, p=p, alpha=float(a)))
+            pts.append(_check_point(GridPoint(n=n, model=model, p=p, alpha=float(a))))
         return pts
     raise ValueError("grid must be a point list or a parametric description")
+
+
+def _check_point(point: GridPoint) -> GridPoint:
+    """The point, or a ValueError naming it if its model cannot sample it."""
+    if point.model == "uniform":
+        ok, need = point.n >= 1 and point.m >= 0, "n >= 1 and m >= 0"
+    else:
+        ok, need = point.n >= 1 and 0.0 <= point.p < 1.0, "n >= 1 and 0 <= p < 1"
+    if not ok:
+        raise ValueError(f"grid point ({point.label}): need {need}")
+    return point
 
 
 # -- chunked execution -------------------------------------------------------
@@ -206,8 +224,7 @@ def _run_task(task) -> tuple[int, int, float]:
     try:
         hits = _chunk_successes(point, prop, seed, pi, ci, count)
     except Exception as exc:
-        where = f"m={point.m}" if point.model == "uniform" else f"p={point.p}"
-        raise ChunkError(f"grid point {pi} (n={point.n}, {where}), chunk {ci}: "
+        raise ChunkError(f"grid point {pi} ({point.label}), chunk {ci}: "
                          f"{type(exc).__name__}: {exc}") from exc
     return pi, hits, time.perf_counter() - t0
 

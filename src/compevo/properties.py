@@ -195,6 +195,9 @@ class Property:
             return (sid, {"k": pr["k"]})
         if sid == "carlitz":
             return ("carlitz", {})
+        if sid == "any_square" and pr.get("min_k", 1) == 1:
+            # the oracle's automaton asks for a square of side >= 1 only
+            return ("any_square", {})
         return None
 
 

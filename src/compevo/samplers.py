@@ -7,7 +7,9 @@ Three models plus the coupling bridge:
   process, their values as Geometric(q) on {1, 2, ...}.  At or above it
   every term is drawn by inverse CDF;
 * uniform via stars and bars: a uniform (n-1)-subset of [m+n-1] read off as
-  gap sizes (Floyd's subset sampling, O(n) memory);
+  gap sizes (Floyd's subset sampling, O(n) memory).  The batch variant runs
+  the evolutionary chain's Polya urn on every row at once over the fewer of
+  stars and bars, O(min(m, n-1)) work per row besides the output;
 * uniform via the evolutionary chain: m single-ball steps of the Polya urn,
   whose marginal at time m is the same uniform distribution;
 * bridge: the independent increment whose term-wise sum turns a geometric
@@ -114,37 +116,39 @@ def sample_uniform_bars(n: int, m: int, rng: RngStream) -> Composition:
 
 
 def uniform_bars_batch(n: int, m: int, count: int, rng: RngStream) -> np.ndarray:
-    """(count, n) matrix of independent uniform compositions of m."""
-    if n == 1:
-        return np.full((count, 1), m, dtype=np.int64)
-    if m == 0:
-        return np.zeros((count, n), dtype=np.int64)
+    """(count, n) matrix of independent uniform compositions of m.
+
+    Runs the Polya urn of sample_uniform_chain on every row at once, over the
+    fewer of stars and bars: k = m stars into N = n boxes, or else k = n-1
+    bars into the N = m+1 gaps around the m stars.  Ball t picks one of N + t
+    tokens; a pick j >= N copies the box of ball j - N of the same row.  After
+    k balls the boxes are a uniform multiset.  k steps, each vectorized over
+    the rows; scratch memory is O(count k).
+    """
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    stars = m < n - 1
+    k, boxes = (m, n) if stars else (n - 1, m + 1)
+    # int32 halves the memory traffic and sorts faster than int64
+    dtype = np.int32 if boxes + k <= np.iinfo(np.int32).max else np.int64
     gen = rng.generator
-    total = m + n - 1
-    # rank trick: the positions of the ksel smallest of `total` i.i.d. uniforms
-    # are a uniform ksel-subset; select whichever of stars/bars is fewer
-    pick_stars = m < n - 1
-    ksel = m if pick_stars else n - 1
+    balls = np.empty((k, count), dtype=dtype)  # ball-major: row t is ball t of every draw
+    flat = balls.ravel()
+    for t in range(k):
+        pick = gen.integers(0, boxes + t, size=count, dtype=dtype)
+        copy = np.flatnonzero(pick >= boxes)
+        pick[copy] = flat[(pick[copy] - boxes).astype(np.intp) * count + copy]
+        balls[t] = pick
+    if stars:
+        cells = balls + np.arange(count) * n
+        return np.bincount(cells.ravel(), minlength=count * n).reshape(count, n)
+    # bars after g_1 <= ... <= g_k stars give the terms g_1, diff(g), m - g_k
+    gaps = np.ascontiguousarray(balls.T)
+    gaps.sort(axis=1)
     out = np.empty((count, n), dtype=np.int64)
-    chunk = max(1, int(5e7) // total)  # bound the uniform matrix size
-    done = 0
-    while done < count:
-        c = min(chunk, count - done)
-        u = gen.random((c, total))
-        idx = np.argpartition(u, ksel - 1, axis=1)[:, :ksel]
-        idx.sort(axis=1)
-        if pick_stars:
-            # star slot minus its rank gives the 0-based box index
-            boxes = idx - np.arange(ksel)
-            flat = boxes + np.arange(c)[:, None] * n
-            out[done:done + c] = np.bincount(
-                flat.ravel(), minlength=c * n).reshape(c, n)
-        else:
-            idx1 = idx + 1
-            out[done:done + c, 0] = idx1[:, 0] - 1
-            out[done:done + c, 1:-1] = np.diff(idx1, axis=1) - 1
-            out[done:done + c, -1] = total - idx1[:, -1]
-        done += c
+    out[:, :-1] = gaps
+    out[:, -1] = m
+    out[:, 1:] -= gaps
     return out
 
 

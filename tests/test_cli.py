@@ -182,6 +182,16 @@ def test_oracle_geometric():
     assert code == 0 and doc["lo"] == pytest.approx(0.375)
 
 
+def test_oracle_any_square():
+    code, out = run_cli("oracle", "geometric", "n=100", "p=0.5",
+                        "--statistic", "any_square")
+    doc = json.loads(out)
+    assert code == 0 and doc["lo"] == pytest.approx(1.0) and doc["lo"] <= doc["hi"]
+    code, _ = run_cli("oracle", "geometric", "n=100", "p=0.5",
+                      "--statistic", "any_square", "min_k=2")
+    assert code == 2
+
+
 def test_oracle_unsupported_exit_code():
     code, _ = run_cli("oracle", "geometric", "n=3", "p=0.5",
                       "--pattern", "o:[0,1]")

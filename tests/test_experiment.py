@@ -63,6 +63,21 @@ def test_config_validation_errors():
         _config(property={"statistic": "cmax_ge"})
     with pytest.raises(ValueError, match="unknown theory keys"):
         _config(theory={"poisson": "some", "bogus": 1})
+    uniform = {"model": "uniform", "property": {"statistic": "contains", "pattern": "u:[1,1]"}}
+    with pytest.raises(ValueError, match=r"grid point \(n=10, m=-1\)"):
+        _config(grid=[{"n": 10, "m": -1}], **uniform)
+    with pytest.raises(ValueError, match=r"grid point \(n=0, m=3\)"):
+        _config(grid=[{"n": 0, "m": 3}], **uniform)
+    with pytest.raises(ValueError, match="grid n=0"):
+        _config(grid={"n": 0, "m_exponents": [-0.5]}, **uniform)
+    with pytest.raises(ValueError, match=r"grid point \(n=50, p=-0.1\)"):
+        _config(grid=[{"n": 50, "p": 0.1}, {"n": 50, "p": -0.1}])
+    with pytest.raises(ValueError, match=r"grid point \(n=50, p=1.0\)"):
+        _config(grid=[{"n": 50, "p": 1.0}])
+    with pytest.raises(ValueError, match=r"grid point \(n=0, p=0.1\)"):
+        _config(grid=[{"n": 0, "p": 0.1}])
+    with pytest.raises(ValueError, match=r"p=-1.0, alpha=20.0\)"):
+        _config(grid={"n": 100, "alphas": [20.0], "param": "q", "exponent": -0.5})
 
 
 def test_parametric_uniform_grid():
@@ -121,11 +136,17 @@ def test_sweep_uniform_model():
     assert abs(row.estimate.point - 1 / 3) < 0.02
 
 
-def test_worker_count_invariance():
+@pytest.mark.parametrize("model, grid, prop", [
+    ("geometric", [{"n": 30, "p": 0.2}, {"n": 30, "p": 0.4}],
+     {"statistic": "cmax_ge", "params": {"k": 2}}),
+    ("geometric", [{"n": 30, "p": 0.05}],  # the sparse sampler
+     {"statistic": "cmax_ge", "params": {"k": 2}}),
+    ("uniform", [{"n": 30, "m": 5}, {"n": 30, "m": 60}],  # stars, then bars
+     {"statistic": "contains", "pattern": "u:[1,1]"}),
+], ids=["geometric-dense", "geometric-sparse", "uniform"])
+def test_worker_count_invariance(model, grid, prop):
     base = {
-        "version": 1, "model": "geometric",
-        "grid": [{"n": 30, "p": 0.2}, {"n": 30, "p": 0.4}],
-        "property": {"statistic": "cmax_ge", "params": {"k": 2}},
+        "version": 1, "model": model, "grid": grid, "property": prop,
         "trials": CHUNK + 100,  # force a partial chunk
         "seed": 77,
     }

@@ -181,6 +181,32 @@ def test_uniform_two_of_two():
     assert np.all(np.abs(counts / trials - 1 / 3) < 0.01)
 
 
+@pytest.mark.parametrize("n, m, seed", [(5, 2, 51), (6, 3, 52), (6, 4, 54)])
+def test_uniform_batch_stars_branch_law(n, m, seed):
+    # m < n-1: the urn drops the m stars into the n boxes.  Copying ball
+    # j-N-1 in place of j-N keeps the law for m <= 3 but not at m = 4
+    trials = 2 * 10 ** 5
+    index = _support_index(n, m)
+    counts = _counts_from_batch(uniform_bars_batch(n, m, trials, RngStream(seed)), index)
+    _, pval = chi_square_gof(counts, np.full(len(index), 1 / len(index)))
+    assert pval > ALPHA
+
+
+@pytest.mark.parametrize("n, m, count", [(10, 10 ** 5, 500), (7, 0, 50), (1, 9, 50),
+                                         (1, 0, 5), (5, 3, 0), (3, 5, 0),
+                                         (3, 2 ** 31, 100)])  # past int32
+def test_uniform_batch_shapes(n, m, count):
+    out = uniform_bars_batch(n, m, count, RngStream(53))
+    assert out.shape == (count, n) and out.dtype == np.int64
+    assert np.all(out >= 0) and np.all(out.sum(axis=1) == m)
+
+
+def test_uniform_batch_validation():
+    for n, m in [(0, 3), (10, -1)]:
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 0"):
+            uniform_bars_batch(n, m, 4, RngStream(0))
+
+
 def test_chain_first_step():
     hits = 0
     trials = 10 ** 5
@@ -274,7 +300,7 @@ def test_negbin_pmf_normalizes():
 
 
 def test_batch_matches_loop_sampler():
-    # the rank-trick batch and the Floyd single-draw agree in distribution
+    # the batch urn and the Floyd single-draw agree in distribution
     n, m, trials = 4, 3, 2 * 10 ** 4
     index = _support_index(n, m)
     batch = _counts_from_batch(uniform_bars_batch(n, m, trials, RngStream(37)), index)
