@@ -80,6 +80,15 @@ def _num(kv: dict, key: str, cast, required=True, default=None):
         raise UsageError(f"bad value for {key}: {kv[key]!r}")
 
 
+# statistic parameters that ``theory`` and ``oracle`` pass on, with their types
+STATISTIC_PARAMS = {"k": int, "r": int, "min_k": int, "c": float, "side": str, "spec": str,
+                    "nonzero": lambda text: text.lower() in ("1", "true", "yes")}
+
+
+def _statistic_params(kv: dict) -> dict:
+    return {key: _num(kv, key, cast) for key, cast in STATISTIC_PARAMS.items() if key in kv}
+
+
 def _default_seed() -> int:
     return int(os.environ.get(DEFAULT_SEED_ENV, "0"))
 
@@ -156,28 +165,16 @@ def cmd_theory(args, out) -> int:
     kv = _kv_pairs([t for t in rest if "=" in t])
     words = [t for t in rest if "=" not in t]
 
-    def spec_params():
-        d = {}
-        for key in ("k", "r", "d"):
-            if key in kv:
-                d[key] = int(kv[key])
-        for key in ("c", "p"):
-            if key in kv:
-                d[key] = float(kv[key])
-        if "spec" in kv:
-            d["spec"] = kv["spec"]
-        return d
-
     if what == "poisson":
         if not words:
             raise UsageError("theory poisson needs a statistic id")
         alpha = _num(kv, "alpha", float, required=False, default=1.0)
-        pred = theory.poisson_limit(words[0], spec_params(), alpha)
+        pred = theory.poisson_limit(words[0], _statistic_params(kv), alpha)
     elif what == "threshold":
         if not words:
             raise UsageError("theory threshold needs a statistic id")
         n = _num(kv, "n", int, required=False, default=10 ** 4)
-        pred = theory.threshold_location(words[0], spec_params(), n)
+        pred = theory.threshold_location(words[0], _statistic_params(kv), n)
     elif what == "expected-components":
         pred = theory.expected_components(_num(kv, "n", int), _num(kv, "p", float))
     elif what == "expected-gaps":
@@ -271,13 +268,7 @@ def _oracle_property(args, kv: dict) -> Property:
         return Property("contains", {}, spec=spec)
     if not args.statistic:
         raise UsageError("oracle needs --pattern or --statistic")
-    params = {}
-    for key in ("k", "r", "min_k"):
-        if key in kv:
-            params[key] = int(kv[key])
-    if "nonzero" in kv:
-        params["nonzero"] = kv["nonzero"].lower() in ("1", "true", "yes")
-    return Property(args.statistic, params)
+    return Property(args.statistic, _statistic_params(kv))
 
 
 # -- parser ------------------------------------------------------------------

@@ -247,46 +247,21 @@ def _binary_probs(p: float) -> list[float]:
     return [1.0 - p, p]  # class 0 = zero term, class 1 = nonzero term
 
 
-def _cmax_ge(n: int, p: float, k: int) -> float:
+def _longest_run_ge(n: int, p: float, k: int, run_class: int) -> float:
+    """P(k consecutive terms of ``run_class``): 1 for components, 0 for gaps."""
     def step(state, ci):
-        if ci == 0:
+        if ci != run_class:
             return 0
         return FOUND if state + 1 >= k else state + 1
     return _transfer(n, _binary_probs(p), 0, step)
 
 
-def _gmax_ge(n: int, p: float, k: int) -> float:
-    def step(state, ci):
-        if ci == 1:
-            return 0
-        return FOUND if state + 1 >= k else state + 1
-    return _transfer(n, _binary_probs(p), 0, step)
-
-
-def _cmin_gt(n: int, p: float, k: int) -> float:
-    """P(there is at least one component and every component has length > k)."""
-    # state: (current run length capped at k+1, any component seen)
+def _shortest_run_gt(n: int, p: float, k: int, run_class: int) -> float:
+    """P(a run of ``run_class`` terms exists and every such run is longer than k)."""
+    # state: (current run length capped at k+1, any run seen)
     def step(state, ci):
         run, seen = state
-        if ci == 1:
-            return (min(run + 1, k + 1), True)
-        if 0 < run <= k:
-            return DEAD
-        return (0, seen)
-
-    def accept(state):
-        run, seen = state
-        if 0 < run <= k:
-            return False
-        return seen
-
-    return _transfer(n, _binary_probs(p), (0, False), step, accept)
-
-
-def _gmin_gt(n: int, p: float, k: int) -> float:
-    def step(state, ci):
-        run, seen = state
-        if ci == 0:
+        if ci == run_class:
             return (min(run + 1, k + 1), True)
         if 0 < run <= k:
             return DEAD
@@ -376,63 +351,70 @@ def _square_exists_lo(n: int, p: float, width: float):
 
 # ----- public dispatch ------------------------------------------------------
 
+def _exact(v: float, method: str = "transfer_dp") -> ExactProbability:
+    v = min(max(v, 0.0), 1.0)
+    return ExactProbability(v, v, method)
+
+
+def _pattern_prob(n: int, p: float, spec: PatternSpec) -> ExactProbability:
+    if len(spec.blocks) != 1:
+        raise UnsupportedProperty("only consecutive patterns are automaton-recognizable here")
+    if spec.kind is PatternKind.ORDERING:
+        raise UnsupportedProperty("ordering existence needs unbounded value tracking; "
+                                  "use window_prob_geometric for per-position values")
+    if spec.length > n:
+        return ExactProbability(0.0, 0.0, "transfer_dp")
+    return _exact(_prefix_set_prob(n, p, spec))
+
+
+def _interval(lo: float, tail: float) -> ExactProbability:
+    return ExactProbability(min(lo, 1.0), min(lo + tail, 1.0), "transfer_dp")
+
+
+def _carlitz(n, p, params, width):
+    lo, tail = _equal_run_lo(n, p, 2, False, width)
+    # carlitz = no adjacent equal pair; the pessimistic existence lo flips
+    return ExactProbability(max(1.0 - lo - tail, 0.0), min(1.0 - lo, 1.0), "transfer_dp")
+
+
+# statistic id -> (n, p, params, width) -> P(the statistic holds for C(n, p));
+# Property.oracle_form offers (id, params) for exactly these ids
+GEOMETRIC_FORMS: dict[str, Callable[[int, float, dict, float], ExactProbability]] = {
+    "cmax_ge": lambda n, p, params, width: _exact(_longest_run_ge(n, p, params["k"], 1)),
+    "gmax_ge": lambda n, p, params, width: _exact(_longest_run_ge(n, p, params["k"], 0)),
+    "cmin_gt": lambda n, p, params, width: _exact(_shortest_run_gt(n, p, params["k"], 1)),
+    "gmin_gt": lambda n, p, params, width: _exact(_shortest_run_gt(n, p, params["k"], 0)),
+    "tmax_ge": lambda n, p, params, width: _exact(
+        1.0 - math.exp(n * math.log1p(-p ** params["r"])) if p > 0 else 0.0, "closed_form"),
+    "tmin_ge": lambda n, p, params, width: _exact(p ** (params["r"] * n), "closed_form"),
+    "equal_run": lambda n, p, params, width: _interval(
+        *_equal_run_lo(n, p, params["k"], params.get("nonzero", True), width)),
+    # a k-square is a run of k terms equal to k: exact via a 2-value class
+    "square": lambda n, p, params, width: _pattern_prob(
+        n, p, PatternSpec(PatternKind.EXACT, ((params["k"],) * params["k"],))),
+    "any_square": lambda n, p, params, width: _interval(*_square_exists_lo(n, p, width)),
+    "carlitz": _carlitz,
+}
+
+
 def exact_prob_geometric_consecutive(n: int, p: float, statistic,
                                      width: float = DEFAULT_WIDTH) -> ExactProbability:
     """P(property holds for C(n, p)) as a certified interval.
 
     ``statistic`` is a consecutive PatternSpec (exact/upper/lower kinds;
-    existence probability) or a (statistic_id, params) pair among:
-    cmax_ge/gmax_ge/cmin_gt/gmin_gt {k}, tmax_ge/tmin_ge {r},
-    equal_run {k, nonzero}, square {k}, any_square {}, carlitz {}.
+    existence probability) or a (statistic_id, params) pair with an id of
+    ``GEOMETRIC_FORMS``: cmax_ge/gmax_ge/cmin_gt/gmin_gt {k}, tmax_ge/tmin_ge
+    {r}, equal_run {k, nonzero}, square {k}, any_square {}, carlitz {}.
     """
     if not (0.0 <= p < 1.0):
         raise ValueError("need 0 <= p < 1")
     if isinstance(statistic, PatternSpec):
-        spec = statistic
-        if len(spec.blocks) != 1:
-            raise UnsupportedProperty("only consecutive patterns are automaton-recognizable here")
-        if spec.kind is PatternKind.ORDERING:
-            raise UnsupportedProperty("ordering existence needs unbounded value tracking; "
-                                      "use window_prob_geometric for per-position values")
-        if spec.length > n:
-            return ExactProbability(0.0, 0.0, "transfer_dp")
-        v = _prefix_set_prob(n, p, spec)
-        v = min(max(v, 0.0), 1.0)
-        return ExactProbability(v, v, "transfer_dp")
-
+        return _pattern_prob(n, p, statistic)
     sid, params = statistic
-    if sid in ("cmax_ge", "gmax_ge", "cmin_gt", "gmin_gt"):
-        k = params["k"]
-        fn = {"cmax_ge": _cmax_ge, "gmax_ge": _gmax_ge,
-              "cmin_gt": _cmin_gt, "gmin_gt": _gmin_gt}[sid]
-        v = min(max(fn(n, p, k), 0.0), 1.0)
-        return ExactProbability(v, v, "transfer_dp")
-    if sid == "tmax_ge":
-        r = params["r"]
-        v = 1.0 - math.exp(n * math.log1p(-p ** r)) if p > 0 else 0.0
-        return ExactProbability(v, v, "closed_form")
-    if sid == "tmin_ge":
-        r = params["r"]
-        v = p ** (r * n)
-        return ExactProbability(v, v, "closed_form")
-    if sid == "equal_run":
-        k = params["k"]
-        lo, tail = _equal_run_lo(n, p, k, params.get("nonzero", True), width)
-        return ExactProbability(min(lo, 1.0), min(lo + tail, 1.0), "transfer_dp")
-    if sid == "square":
-        # a k-square is a run of k terms equal to k: exact via a 2-value class
-        k = params["k"]
-        from .core import PatternSpec as PS
-        spec = PS(PatternKind.EXACT, ((k,) * k,))
-        return exact_prob_geometric_consecutive(n, p, spec)
-    if sid == "any_square":
-        lo, tail = _square_exists_lo(n, p, width)
-        return ExactProbability(min(lo, 1.0), min(lo + tail, 1.0), "transfer_dp")
-    if sid == "carlitz":
-        lo, tail = _equal_run_lo(n, p, 2, False, width)
-        # carlitz = no adjacent equal pair; the pessimistic existence lo flips
-        return ExactProbability(max(1.0 - lo - tail, 0.0), min(1.0 - lo, 1.0), "transfer_dp")
-    raise UnsupportedProperty(f"statistic {sid!r} is not automaton-recognizable")
+    form = GEOMETRIC_FORMS.get(sid)
+    if form is None:
+        raise UnsupportedProperty(f"statistic {sid!r} is not automaton-recognizable")
+    return form(n, p, params, width)
 
 
 def window_prob_geometric(spec: PatternSpec, p: float,

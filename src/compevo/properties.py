@@ -1,38 +1,52 @@
 """Statistic registry: one stable string id per monitored property.
 
-Each id resolves to
+``STATISTICS`` maps each id to its one ``StatisticDef`` row:
 
-* a scalar predicate on a single composition (used by the enumeration oracle
-  and by brute-force cross-checks), and
-* a vectorized predicate on a (trials, n) sample matrix (the Monte Carlo
-  fast path).  Its loops run over pattern length and block count, never over
-  trials, with one exception: a nonconsecutive ordering pattern has no
-  greedy scan, so it is decided by one depth-first ``patterns.match`` per row.
+* the parameter it cannot be decided without (``"spec"`` for patterns);
+* a scalar predicate on one composition, the slow reference route that the
+  enumeration oracle and the brute-force cross-checks use;
+* a vectorized predicate on a (trials, n) sample matrix, the Monte Carlo
+  fast path.  Its loops run over pattern length and block count, never over
+  trials, except for nonconsecutive ordering patterns: no greedy scan decides
+  them, so each row gets one depth-first ``patterns.match``;
+* its geometric oracle argument, offered for the ids of
+  ``oracle.GEOMETRIC_FORMS`` and for consecutive e/u/l patterns;
+* its ``theory.Scaling`` (threshold side and exponent, Poisson mean).
 
-Ids double as the selector for the theory module's Poisson means and
-threshold locations and for the geometric DP oracle.
+``Property`` (id, parameters, parsed pattern) is the picklable handle callers
+hold; its methods look up the row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import analysis, patterns
-from .core import PatternKind, PatternSpec, UnsupportedProperty
+from . import analysis, oracle, patterns, theory
+from .core import BlockStructure, PatternKind, PatternSpec, UnsupportedProperty, as_terms
+from .theory import Scaling
 
-PATTERN_STATISTICS = {"exact_consec", "upper_consec", "lower_consec", "ordering_consec",
-                      "contains"}
-SCALAR_STATISTICS = {"cmax_ge", "gmax_ge", "cmin_gt", "gmin_gt", "tmax_ge", "tmin_ge",
-                     "equal_run", "equal_terms", "carlitz", "increasing_run", "square",
-                     "any_square"}
-KNOWN_STATISTICS = PATTERN_STATISTICS | SCALAR_STATISTICS
-# the parameter each statistic cannot be decided without
-REQUIRED_PARAM = {"cmax_ge": "k", "gmax_ge": "k", "cmin_gt": "k", "gmin_gt": "k",
-                  "equal_run": "k", "equal_terms": "k", "increasing_run": "k", "square": "k",
-                  "tmax_ge": "r", "tmin_ge": "r"}
+
+def _named_form(prop: Property):
+    return (prop.statistic_id, prop.params) if prop.statistic_id in oracle.GEOMETRIC_FORMS else None
+
+
+@dataclass(frozen=True)
+class StatisticDef:
+    """Everything known about one statistic id; each callable takes the Property first."""
+
+    holds: Callable[[Property, object], bool]
+    holds_batch: Callable[[Property, np.ndarray], np.ndarray]
+    needs: str | None = None  # the parameter it cannot be decided without
+    minimum: int | None = None  # the least value ``needs`` may take
+    kind: PatternKind | None = None  # consecutive patterns of this kind only
+    oracle_form: Callable[[Property], object] = _named_form  # None when unsupported
+    scaling: Callable[[Property], Scaling] | None = None
+    # the threshold when it is no power of n; replaces the scaling's
+    threshold: Callable[[Property, int], theory.TheoryPrediction] | None = None
 
 
 @dataclass(frozen=True)
@@ -42,164 +56,258 @@ class Property:
     spec: PatternSpec | None = None
 
     def __post_init__(self):
-        sid = self.statistic_id
-        if sid not in KNOWN_STATISTICS:
+        sid, row = self.statistic_id, STATISTICS.get(self.statistic_id)
+        if row is None:
             raise UnsupportedProperty(f"unknown statistic id {sid!r}")
-        if sid in PATTERN_STATISTICS:
-            spec = self.spec
-            if spec is None and "spec" in self.params:
-                spec = self.params["spec"]
-            if isinstance(spec, str):
-                spec = patterns.parse_pattern(spec)
-            if not isinstance(spec, PatternSpec):
-                raise UnsupportedProperty(f"statistic {sid!r} needs a pattern")
-            object.__setattr__(self, "spec", spec)
-            if sid != "contains" and len(spec.blocks) != 1:
-                raise UnsupportedProperty(f"statistic {sid!r} needs a consecutive pattern")
-            expect = {"exact_consec": PatternKind.EXACT, "upper_consec": PatternKind.UPPER,
-                      "lower_consec": PatternKind.LOWER, "ordering_consec": PatternKind.ORDERING}
-            if sid != "contains" and spec.kind is not expect[sid]:
-                raise UnsupportedProperty(f"pattern kind {spec.kind.value!r} does not fit {sid!r}")
-        need = REQUIRED_PARAM.get(sid)
-        if need is not None and need not in self.params:
-            raise ValueError(f"statistic {sid!r} needs parameter {need!r}")
-        # a 0-square has no defined meaning: holds and holds_batch would disagree
-        if sid == "square" and self.params["k"] < 1:
-            raise ValueError(f"square needs k >= 1, got {self.params['k']}")
-
-    # -- scalar route --------------------------------------------------------
+        if row.needs == "spec":
+            object.__setattr__(self, "spec", _pattern_param(self, row.kind))
+        elif row.needs is not None:
+            if row.needs not in self.params:
+                raise ValueError(f"statistic {sid!r} needs parameter {row.needs!r}")
+            if row.minimum is not None and self.params[row.needs] < row.minimum:
+                raise ValueError(f"{sid} needs {row.needs} >= {row.minimum}, "
+                                 f"got {self.params[row.needs]}")
 
     def holds(self, c) -> bool:
         """Predicate on one composition; the slow, obviously-correct route."""
-        sid, pr = self.statistic_id, self.params
-        if sid in PATTERN_STATISTICS:
-            return patterns.match(c, self.spec).exists
-        if sid == "cmax_ge":
-            return analysis.components(c).longest >= pr["k"]
-        if sid == "gmax_ge":
-            return analysis.gaps(c).longest >= pr["k"]
-        if sid == "cmin_gt":
-            rep = analysis.components(c)
-            return rep.count > 0 and rep.shortest > pr["k"]
-        if sid == "gmin_gt":
-            rep = analysis.gaps(c)
-            return rep.count > 0 and rep.shortest > pr["k"]
-        if sid == "tmax_ge":
-            return analysis.extremes(c).tmax >= pr["r"]
-        if sid == "tmin_ge":
-            return analysis.extremes(c).tmin >= pr["r"]
-        if sid == "equal_run":
-            rep = analysis.equal_runs(c, nonzero_only=pr.get("nonzero", True))
-            return rep.longest >= pr["k"]
-        if sid == "equal_terms":
-            return analysis.max_multiplicity(c) >= pr["k"]
-        if sid == "carlitz":
-            return analysis.is_carlitz(c)
-        if sid == "increasing_run":
-            return analysis.longest_increasing_run(c) >= pr["k"]
-        if sid == "square":
-            k = pr["k"]
-            if k == 1:
-                return bool(np.any(np.asarray(c if not hasattr(c, "terms") else c.terms) == 1))
-            return analysis.square_counts(c).get(k, 0) > 0
-        if sid == "any_square":
-            return analysis.largest_square(c) >= pr.get("min_k", 1)
-        raise UnsupportedProperty(sid)
-
-    # -- vectorized route ----------------------------------------------------
+        return STATISTICS[self.statistic_id].holds(self, c)
 
     def holds_batch(self, samples: np.ndarray) -> np.ndarray:
         """Boolean vector: property holds for each row of a (trials, n) matrix."""
-        sid, pr = self.statistic_id, self.params
-        if sid == "cmax_ge":
-            return _has_true_run(samples > 0, pr["k"])
-        if sid == "gmax_ge":
-            return _has_true_run(samples == 0, pr["k"])
-        if sid == "cmin_gt":
-            return _min_run_gt(samples > 0, pr["k"])
-        if sid == "gmin_gt":
-            return _min_run_gt(samples == 0, pr["k"])
-        if sid == "tmax_ge":
-            return (samples >= pr["r"]).any(axis=1)
-        if sid == "tmin_ge":
-            return (samples >= pr["r"]).all(axis=1)
-        if sid == "carlitz":
-            if samples.shape[1] == 1:
-                return np.ones(samples.shape[0], dtype=bool)
-            return (samples[:, 1:] != samples[:, :-1]).all(axis=1)
-        if sid == "equal_run":
-            k = pr["k"]
-            mask = np.ones_like(samples, dtype=bool)
-            if pr.get("nonzero", True):
-                mask = samples > 0
-            if k == 1:
-                return mask.any(axis=1)
-            eq = (samples[:, 1:] == samples[:, :-1]) & mask[:, 1:] & mask[:, :-1]
-            return _has_true_run(eq, k - 1)
-        if sid == "increasing_run":
-            k = pr["k"]
-            if k <= 1:
-                return np.ones(samples.shape[0], dtype=bool)
-            rising = samples[:, 1:] > samples[:, :-1]
-            return _has_true_run(rising, k - 1)
-        if sid == "equal_terms":
-            k = pr["k"]
-            if k <= 1:
-                return np.ones(samples.shape[0], dtype=bool)
-            s = np.sort(samples, axis=1)
-            if s.shape[1] < k:
-                return np.zeros(samples.shape[0], dtype=bool)
-            return (s[:, k - 1:] == s[:, : s.shape[1] - k + 1]).any(axis=1)
-        if sid == "square":
-            k = pr["k"]
-            return _has_true_run(samples == k, k)
-        if sid == "any_square":
-            kmin = pr.get("min_k", 1)
-            if kmin <= 0:  # largest_square >= 0 always holds
-                return np.ones(samples.shape[0], dtype=bool)
-            n = samples.shape[1]
-            kmax = min(int(samples.max(initial=0)), n)
-            out = np.zeros(samples.shape[0], dtype=bool)
-            for k in range(kmin, kmax + 1):
-                out |= _has_true_run(samples == k, k)
-            return out
-        if sid in PATTERN_STATISTICS:
-            spec = self.spec
-            if len(spec.blocks) == 1:
-                return _batch_consecutive(samples, spec)
-            if spec.kind is not PatternKind.ORDERING:
-                return _batch_block_chain(samples, spec)
-            # no greedy scan decides ordering patterns; mixed-block ones raise
-            # UnsupportedProperty from patterns.match on the first row
-            return np.fromiter((patterns.match(row, spec).exists for row in samples),
-                               dtype=bool, count=samples.shape[0])
-        raise UnsupportedProperty(sid)
-
-    # -- hooks ---------------------------------------------------------------
+        return STATISTICS[self.statistic_id].holds_batch(self, samples)
 
     def oracle_form(self):
         """Argument for the geometric DP oracle, or None when unsupported."""
-        sid, pr = self.statistic_id, self.params
-        if sid in PATTERN_STATISTICS:
-            spec = self.spec
-            if len(spec.blocks) == 1 and spec.kind is not PatternKind.ORDERING:
-                return spec
-            return None
-        if sid in ("cmax_ge", "gmax_ge", "cmin_gt", "gmin_gt"):
-            return (sid, {"k": pr["k"]})
-        if sid in ("tmax_ge", "tmin_ge"):
-            return (sid, {"r": pr["r"]})
-        if sid == "equal_run":
-            return (sid, {"k": pr["k"], "nonzero": pr.get("nonzero", True)})
-        if sid == "square":
-            return (sid, {"k": pr["k"]})
-        if sid == "carlitz":
-            return ("carlitz", {})
-        if sid == "any_square" and pr.get("min_k", 1) == 1:
-            # the oracle's automaton asks for a square of side >= 1 only
-            return ("any_square", {})
-        return None
+        return STATISTICS[self.statistic_id].oracle_form(self)
 
+
+def _pattern_param(prop: Property, kind: PatternKind | None) -> PatternSpec:
+    sid, spec = prop.statistic_id, prop.spec
+    if spec is None and "spec" in prop.params:
+        spec = prop.params["spec"]
+    if isinstance(spec, str):
+        spec = patterns.parse_pattern(spec)
+    if not isinstance(spec, PatternSpec):
+        raise UnsupportedProperty(f"statistic {sid!r} needs a pattern")
+    if kind is not None and len(spec.blocks) != 1:
+        raise UnsupportedProperty(f"statistic {sid!r} needs a consecutive pattern")
+    if kind is not None and spec.kind is not kind:
+        raise UnsupportedProperty(f"pattern kind {spec.kind.value!r} does not fit {sid!r}")
+    return spec
+
+
+# -- rows ----------------------------------------------------------------------
+
+def _appears(prop: Property) -> bool:
+    return prop.params.get("side", "appear") == "appear"
+
+
+def _pattern_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
+    spec = prop.spec
+    if len(spec.blocks) == 1:
+        return _batch_consecutive(samples, spec)
+    if spec.kind is not PatternKind.ORDERING:
+        return _batch_block_chain(samples, spec)
+    # no greedy scan decides ordering patterns; mixed-block ones raise
+    # UnsupportedProperty from patterns.match on the first row
+    return np.fromiter((patterns.match(row, spec).exists for row in samples),
+                       dtype=bool, count=samples.shape[0])
+
+
+def _consecutive_form(prop: Property):
+    spec = prop.spec
+    return spec if len(spec.blocks) == 1 and spec.kind is not PatternKind.ORDERING else None
+
+
+def _pattern_row(kind: PatternKind | None, scaling=None) -> StatisticDef:
+    return StatisticDef(holds=lambda prop, c: patterns.match(c, prop.spec).exists,
+                        holds_batch=_pattern_batch, needs="spec", kind=kind,
+                        oracle_form=_consecutive_form, scaling=scaling)
+
+
+def _exact_scaling(prop: Property) -> Scaling:
+    spec = prop.spec
+    if _appears(prop):
+        return Scaling("p", spec.size, f"exact pattern of size {spec.size}")
+    return Scaling("q", spec.length, f"exact pattern of length {spec.length}")
+
+
+def _lower_scaling(prop: Property) -> Scaling:
+    rho = theory.lower_pattern_rho(prop.spec)
+    return Scaling("q", prop.spec.length, f"lower pattern, rho = {rho}", coefficient=rho)
+
+
+def _ordering_scaling(prop: Property) -> Scaling:
+    d, lam = theory.ordering_disappearance_params(prop.spec)
+    return Scaling("q", d, f"repeated-term ordering pattern, lambda = {lam}", coefficient=1 / lam)
+
+
+def _contains_scaling(prop: Property) -> Scaling:
+    """Thresholds of the nonconsecutive and vincular patterns; no Poisson mean."""
+    spec, appear = prop.spec, _appears(prop)
+    exact = spec.kind is PatternKind.EXACT
+    if spec.structure is BlockStructure.NONCONSECUTIVE and exact:
+        if appear:
+            r = max(spec.terms)
+            return Scaling("p", r, f"nonconsecutive exact pattern, largest term {r}", None)
+        return Scaling("q", 1, "any nonconsecutive exact pattern", None)
+    if spec.structure is BlockStructure.VINCULAR and exact:
+        if appear:
+            s = max(sum(b) for b in spec.blocks)
+            return Scaling("p", s, f"vincular pattern, largest block size {s}", None)
+        ell = max(len(b) for b in spec.blocks)
+        return Scaling("q", ell, f"vincular pattern, longest block length {ell}", None)
+    if (spec.structure is BlockStructure.NONCONSECUTIVE and spec.kind is PatternKind.ORDERING
+            and len(set(spec.terms)) == spec.length):
+        k = spec.length
+        return Scaling("p", k - 1, f"nonconsecutive total ordering pattern of length {k}", None)
+    raise UnsupportedProperty(f"no threshold is known for pattern {spec}")
+
+
+def _equal_run_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
+    k = prop.params["k"]
+    mask = np.ones_like(samples, dtype=bool)
+    if prop.params.get("nonzero", True):
+        mask = samples > 0
+    if k == 1:
+        return mask.any(axis=1)
+    eq = (samples[:, 1:] == samples[:, :-1]) & mask[:, 1:] & mask[:, :-1]
+    return _has_true_run(eq, k - 1)
+
+
+def _equal_run_scaling(prop: Property) -> Scaling:
+    k = prop.params["k"]
+    if not _appears(prop):
+        # zero runs are as rare as any other value's here, so nonzero is moot
+        return Scaling("q", k - 1, f"runs of {k} equal terms", coefficient=1 / k)
+    if not prop.params.get("nonzero", True):
+        raise UnsupportedProperty("equal_run with nonzero=False has no appearance "
+                                  "threshold: zero runs are there from the start")
+    return Scaling("p", k, f"runs of {k} equal nonzero terms")
+
+
+def _increasing_run_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
+    k = prop.params["k"]
+    if k <= 1:
+        return np.ones(samples.shape[0], dtype=bool)
+    return _has_true_run(samples[:, 1:] > samples[:, :-1], k - 1)
+
+
+def _equal_terms_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
+    k = prop.params["k"]
+    if k <= 1:
+        return np.ones(samples.shape[0], dtype=bool)
+    s = np.sort(samples, axis=1)
+    if s.shape[1] < k:
+        return np.zeros(samples.shape[0], dtype=bool)
+    return (s[:, k - 1:] == s[:, : s.shape[1] - k + 1]).any(axis=1)
+
+
+def _square_holds(prop: Property, c) -> bool:
+    k = prop.params["k"]
+    if k == 1:  # square_counts leaves out the trivial 1-squares
+        return bool(np.any(as_terms(c) == 1))
+    return analysis.square_counts(c).get(k, 0) > 0
+
+
+def _any_square_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
+    kmin = prop.params.get("min_k", 1)
+    if kmin <= 0:  # largest_square >= 0 always holds
+        return np.ones(samples.shape[0], dtype=bool)
+    kmax = min(int(samples.max(initial=0)), samples.shape[1])
+    out = np.zeros(samples.shape[0], dtype=bool)
+    for k in range(kmin, kmax + 1):
+        out |= _has_true_run(samples == k, k)
+    return out
+
+
+def _longest_run(report, mask, param: str, what: str) -> StatisticDef:
+    """Longest component or gap >= k; ``mask`` marks the terms it is made of."""
+    return StatisticDef(
+        holds=lambda prop, c: report(c).longest >= prop.params["k"],
+        holds_batch=lambda prop, x: _has_true_run(mask(x), prop.params["k"]),
+        needs="k",
+        scaling=lambda prop: Scaling(param, prop.params["k"],
+                                     f"{what} of length >= {prop.params['k']}"))
+
+
+def _shortest_run(report, mask, param: str, what: str) -> StatisticDef:
+    """Some component (or gap) exists and every one is longer than k."""
+    def holds(prop, c):
+        rep = report(c)
+        return rep.count > 0 and rep.shortest > prop.params["k"]
+    return StatisticDef(
+        holds=holds,
+        holds_batch=lambda prop, x: _min_run_gt(mask(x), prop.params["k"]),
+        needs="k",
+        scaling=lambda prop: Scaling(param, 2, f"{what} of length <= {prop.params['k']}",
+                                     coefficient=prop.params["k"]))
+
+
+STATISTICS: dict[str, StatisticDef] = {
+    "exact_consec": _pattern_row(PatternKind.EXACT, _exact_scaling),
+    "upper_consec": _pattern_row(
+        PatternKind.UPPER,
+        lambda prop: Scaling("p", prop.spec.size, f"upper pattern of size {prop.spec.size}")),
+    "lower_consec": _pattern_row(PatternKind.LOWER, _lower_scaling),
+    "ordering_consec": _pattern_row(PatternKind.ORDERING, _ordering_scaling),
+    "contains": _pattern_row(None, _contains_scaling),
+    "cmax_ge": _longest_run(analysis.components, lambda x: x > 0, "p", "components"),
+    "gmax_ge": _longest_run(analysis.gaps, lambda x: x == 0, "q", "gaps"),
+    "cmin_gt": _shortest_run(analysis.components, lambda x: x > 0, "q", "components"),
+    "gmin_gt": _shortest_run(analysis.gaps, lambda x: x == 0, "p", "gaps"),
+    "tmax_ge": StatisticDef(
+        holds=lambda prop, c: analysis.extremes(c).tmax >= prop.params["r"],
+        holds_batch=lambda prop, x: (x >= prop.params["r"]).any(axis=1),
+        needs="r",
+        scaling=lambda prop: Scaling("p", prop.params["r"], f"terms >= {prop.params['r']}")),
+    "tmin_ge": StatisticDef(
+        holds=lambda prop, c: analysis.extremes(c).tmin >= prop.params["r"],
+        holds_batch=lambda prop, x: (x >= prop.params["r"]).all(axis=1),
+        needs="r",
+        scaling=lambda prop: Scaling("q", 1, f"terms < {prop.params['r']}",
+                                     coefficient=prop.params["r"])),
+    "equal_run": StatisticDef(
+        holds=lambda prop, c: analysis.equal_runs(
+            c, nonzero_only=prop.params.get("nonzero", True)).longest >= prop.params["k"],
+        holds_batch=_equal_run_batch,
+        needs="k",
+        scaling=_equal_run_scaling),
+    "equal_terms": StatisticDef(
+        holds=lambda prop, c: analysis.max_multiplicity(c) >= prop.params["k"],
+        holds_batch=_equal_terms_batch,
+        needs="k",
+        # k-tuples of equal terms anywhere: about n^k q^(k-1) / (k k!) of them
+        scaling=lambda prop: Scaling(
+            "q", prop.params["k"] - 1, f"{prop.params['k']} equal terms anywhere",
+            coefficient=1 / (prop.params["k"] * math.factorial(prop.params["k"])),
+            positions=prop.params["k"])),
+    "carlitz": StatisticDef(
+        holds=lambda prop, c: analysis.is_carlitz(c),
+        holds_batch=lambda prop, x: (x[:, 1:] != x[:, :-1]).all(axis=1),
+        scaling=lambda prop: Scaling("q", 1, "adjacent equal terms (Carlitz iff none occur)",
+                                     coefficient=0.5)),
+    "increasing_run": StatisticDef(
+        holds=lambda prop, c: analysis.longest_increasing_run(c) >= prop.params["k"],
+        holds_batch=_increasing_run_batch,
+        needs="k",
+        scaling=lambda prop: Scaling("p", prop.params["k"] * (prop.params["k"] - 1) // 2,
+                                     f"increasing runs of length {prop.params['k']}")),
+    "square": StatisticDef(
+        holds=_square_holds,
+        holds_batch=lambda prop, x: _has_true_run(x == prop.params["k"], prop.params["k"]),
+        # a 0-square has no defined meaning: holds and holds_batch would disagree
+        needs="k", minimum=1,
+        threshold=lambda prop, n: theory.square_threshold(n, prop.params.get("c", 0.0))),
+    "any_square": StatisticDef(
+        holds=lambda prop, c: analysis.largest_square(c) >= prop.params.get("min_k", 1),
+        holds_batch=_any_square_batch,
+        # the oracle's automaton asks for a square of side >= 1 only
+        oracle_form=lambda prop: _named_form(prop) if prop.params.get("min_k", 1) == 1 else None),
+}
+
+
+# -- vectorized helpers ----------------------------------------------------------
 
 def _has_true_run(mask: np.ndarray, k: int) -> np.ndarray:
     """Row-wise: does a run of k consecutive True values exist."""

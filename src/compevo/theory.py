@@ -5,6 +5,15 @@ Formulas that hold exactly at finite n are marked ``exact=True``; asymptotic
 statements carry the regime they are valid in and are never asserted as
 equalities by the experiment harness.
 
+``poisson_limit`` and ``threshold_location`` answer registered statistic ids
+only.  Each id's row in ``properties.STATISTICS`` checks the parameters and
+gives a ``Scaling``: the threshold side (p for appearance, q for
+disappearance), its exponent of n and the Poisson mean at the threshold.
+``exact_consec``, ``equal_run`` and ``contains`` take the side from their
+``side`` parameter ("appear" unless given).  A side the statistic does not
+have, and a parameter at which its count does not grow with n (k = 1 for
+``equal_terms``), raise ``UnsupportedProperty``.
+
 Products and binomial ratios are evaluated in log space where underflow is
 possible.
 """
@@ -13,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import exp, expm1, lgamma, log, log1p
 
 from .core import PatternKind, PatternSpec, UnsupportedProperty
@@ -184,23 +194,6 @@ def prob_tmin_ge(n: int, p: float, r: int) -> TheoryPrediction:
 # ---------------------------------------------------------------------------
 # Poisson limits at thresholds
 
-def _require(params: dict, *names: str) -> list:
-    missing = [x for x in names if x not in params]
-    if missing:
-        raise ValueError(f"missing parameters: {missing}")
-    return [params[x] for x in names]
-
-
-def _spec_param(params: dict) -> PatternSpec:
-    spec = params.get("spec")
-    if isinstance(spec, str):
-        from .patterns import parse_pattern
-        spec = parse_pattern(spec)
-    if not isinstance(spec, PatternSpec):
-        raise ValueError("params['spec'] must be a PatternSpec or DSL string")
-    return spec
-
-
 def lower_pattern_rho(spec: PatternSpec) -> int:
     """rho = prod(r_i + 1) for a lower consecutive pattern."""
     return math.prod(r + 1 for r in spec.terms)
@@ -219,7 +212,54 @@ def ordering_disappearance_params(spec: PatternSpec) -> tuple[int, int]:
     return d, lam
 
 
-# each row: statistic id -> (poisson mean as function of (params, alpha), regime text)
+@dataclass(frozen=True)
+class Scaling:
+    """How the occurrence count of a statistic's substructure scales.
+
+    The mean count is about ``coefficient * n**positions * x**power``, where
+    x is p (``param="p"``, an appearance threshold) or q (``param="q"``, a
+    disappearance threshold).  It is of order one at x* = n**exponent with
+    exponent = -positions/power, and at x = alpha * x* the count tends to a
+    Poisson law with mean ``coefficient * alpha**power``.  A coefficient of
+    None marks a threshold whose Poisson mean is not known.
+    """
+
+    param: str
+    power: int
+    what: str
+    coefficient: float | None = 1.0
+    positions: int = 1
+
+    @property
+    def exponent(self) -> Fraction:
+        return Fraction(-self.positions, self.power)
+
+    @property
+    def side(self) -> str:
+        return "appear" if self.param == "p" else "disappear"
+
+
+def _statistic(statistic_id: str, params: dict):
+    """``Property(statistic_id, params)``, whose row checks the parameters, and the row."""
+    from .properties import STATISTICS, Property  # the statistic table imports this module
+    prop = Property(statistic_id, params)
+    return prop, STATISTICS[statistic_id]
+
+
+def _scaling(prop, row) -> Scaling:
+    sid = prop.statistic_id
+    if row.scaling is None:
+        raise UnsupportedProperty(f"statistic {sid!r} has no threshold theory")
+    s = row.scaling(prop)
+    side = prop.params.get("side")
+    if side is not None and side != s.side:
+        raise UnsupportedProperty(f"statistic {sid!r} has no {side!r} threshold")
+    if s.power < 1:  # the count does not grow with n: the property always or never holds
+        at = prop.spec if row.needs == "spec" else prop.params.get(row.needs)
+        raise UnsupportedProperty(f"statistic {sid!r} has no threshold at {row.needs} = {at}")
+    return s
+
+
 def poisson_limit(statistic_id: str, params: dict, alpha: float) -> TheoryPrediction:
     """Poisson mean of the occurrence count at the stated parameter scale.
 
@@ -228,96 +268,13 @@ def poisson_limit(statistic_id: str, params: dict, alpha: float) -> TheoryPredic
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    sid = statistic_id
-
-    if sid == "cmax_ge":
-        (k,) = _require(params, "k")
-        return _poisson(alpha ** k, f"p ~ alpha*n^(-1/{k}); components of length >= {k}")
-    if sid == "gmax_ge":
-        (k,) = _require(params, "k")
-        return _poisson(alpha ** k, f"q ~ alpha*n^(-1/{k}); gaps of length >= {k}")
-    if sid == "cmin_gt":
-        (k,) = _require(params, "k")
-        return _poisson(alpha * alpha * k,
-                        f"q ~ alpha*n^(-1/2); components of length <= {k} (constant k)")
-    if sid == "gmin_gt":
-        (k,) = _require(params, "k")
-        return _poisson(alpha * alpha * k,
-                        f"p ~ alpha*n^(-1/2); gaps of length <= {k} (constant k)")
-    if sid in ("cmin_gt_growing", "gmin_gt_growing"):
-        which = "q" if sid.startswith("c") else "p"
-        return _poisson(alpha * alpha,
-                        f"{which} ~ alpha/sqrt(k*n); growing k")
-    if sid in ("cmax_ge_window", "gmax_ge_window"):
-        which = "p" if sid.startswith("c") else "q"
-        return _poisson(exp(alpha),
-                        f"{which} = exp(-(log n - alpha)/k), 1 << k << log n")
-    if sid == "exact_consec":
-        spec = _spec_param(params)
-        side = params.get("side", "appear")
-        if side == "appear":
-            return _poisson(alpha ** spec.size,
-                            f"p ~ alpha*n^(-1/{spec.size}) (appearance; size {spec.size})")
-        return _poisson(alpha ** spec.length,
-                        f"q ~ alpha*n^(-1/{spec.length}) (disappearance; length {spec.length})")
-    if sid == "equal_run":
-        (k,) = _require(params, "k")
-        side = params.get("side", "appear")
-        if side == "appear":
-            return _poisson(alpha ** k, f"p ~ alpha*n^(-1/{k}); runs of {k} equal nonzero terms")
-        return _poisson(alpha ** (k - 1) / k,
-                        f"q ~ alpha*n^(-1/{k - 1}); runs of {k} equal nonzero terms")
-    if sid == "upper_consec":
-        spec = _spec_param(params)
-        return _poisson(alpha ** spec.size,
-                        f"p ~ alpha*n^(-1/{spec.size}); upper pattern of size {spec.size}")
-    if sid == "lower_consec":
-        spec = _spec_param(params)
-        rho = lower_pattern_rho(spec)
-        return _poisson((alpha ** spec.length) * rho,
-                        f"q ~ alpha*n^(-1/{spec.length}); lower pattern, rho = {rho}")
-    if sid == "tmax_ge":
-        (r,) = _require(params, "r")
-        return _poisson(alpha ** r, f"p ~ alpha*n^(-1/{r}); terms >= {r}")
-    if sid == "tmax_ge_window":
-        # small p = 1/omega, r = (log n + c)/log omega; mean e^{-c}
-        (c,) = _require(params, "c")
-        return _poisson(exp(-c), "p = 1/omega << 1, r = (log n + c)/log omega")
-    if sid == "tmax_ge_const_p":
-        c, p = _require(params, "c", "p")
-        _check_p(p)
-        return _poisson(p ** c, "constant p, r = log_{1/p} n + c")
-    if sid == "tmin_ge":
-        (r,) = _require(params, "r")
-        return _poisson(alpha * r, f"q ~ alpha/n; terms < {r} (P(tmin >= r) = exp(-alpha*r))")
-    if sid == "tmin_ge_growing":
-        return _poisson(alpha, "q ~ alpha/(r*n), growing r")
-    if sid == "increasing_run":
-        (k,) = _require(params, "k")
-        e = k * (k - 1) // 2
-        return _poisson(alpha ** e, f"p ~ alpha*n^(-2/(k(k-1))); increasing runs of length {k}")
-    if sid == "ordering_consec":
-        spec = _spec_param(params)
-        d, lam = ordering_disappearance_params(spec)
-        return _poisson(alpha ** d / lam,
-                        f"q ~ alpha*n^(-1/{d}); repeated-term ordering pattern, lambda = {lam}")
-    if sid == "equal_terms_run":
-        # run of k equal terms, zeros included (Carlitz complement at k = 2)
-        (k,) = _require(params, "k")
-        return _poisson(alpha ** (k - 1) / k,
-                        f"q ~ alpha*n^(-1/{k - 1}); runs of {k} equal terms")
-    if sid == "carlitz":
-        return _poisson(alpha / 2.0,
-                        "q ~ alpha/n; adjacent equal pairs (Carlitz iff none occur)")
-    if sid == "equal_terms":
-        (k,) = _require(params, "k")
-        return _poisson(alpha ** (k - 1) / (k * math.factorial(k)),
-                        f"q ~ alpha*n^(-{k}/{k - 1}); {k}-tuples of equal terms anywhere")
-    raise UnsupportedProperty(f"unknown statistic id {statistic_id!r}")
-
-
-def _poisson(mean: float, regime: str) -> TheoryPrediction:
-    return TheoryPrediction(mean, "poisson_mean", regime=regime, exact=False)
+    s = _scaling(*_statistic(statistic_id, params))
+    if s.coefficient is None:
+        raise UnsupportedProperty(f"statistic {statistic_id!r} has no known Poisson limit "
+                                  "for these parameters")
+    return TheoryPrediction(s.coefficient * alpha ** s.power, "poisson_mean",
+                            regime=f"{s.param} ~ alpha*n^({s.exponent}); {s.what}",
+                            exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -328,97 +285,27 @@ def transfer_m_star(n: int, p_star: float) -> float:
     return n * p_star / (1.0 - p_star)
 
 
-def _threshold(n: int, exponent: float, param: str, regime: str) -> TheoryPrediction:
-    """Threshold of the form param* = n**exponent, with the transferred m*."""
-    value = n ** exponent
-    p_star = value if param == "p" else 1.0 - value
-    return TheoryPrediction(value, "threshold_location", regime=regime, exact=False,
-                            details={"param": param, "exponent": exponent,
-                                     "m_star": transfer_m_star(n, p_star),
-                                     "m_exponent": 1.0 + exponent})
-
-
 def threshold_location(statistic_id: str, params: dict, n: int) -> TheoryPrediction:
     """Threshold p* or q* in the geometric model, plus the transferred m*.
 
     ``details`` carries the parameter name, its exponent of n, and the
     uniform-model location m* = n*p*/q* with its exponent.
     """
-    sid = statistic_id
-    side = params.get("side", "appear")
-
-    def appear(exponent, what):
-        # p* = n^exponent; m* = n*p*/q* ~ n^(1+exponent)
-        return _threshold(n, exponent, "p", f"appearance of {what}")
-
-    def disappear(exponent, what):
-        # q* = n^exponent; m* = n*p*/q* ~ n^(1-exponent)
-        t = _threshold(n, exponent, "q", f"disappearance of {what}")
-        t.details["m_exponent"] = 1.0 - exponent
-        return t
-
-    if sid == "cmax_ge":
-        (k,) = _require(params, "k")
-        return appear(-1.0 / k, f"components of length >= {k}")
-    if sid == "gmax_ge":
-        (k,) = _require(params, "k")
-        return disappear(-1.0 / k, f"gaps of length >= {k}")
-    if sid == "cmin_gt":
-        return disappear(-0.5, "components of any fixed length")
-    if sid == "gmin_gt":
-        return appear(-0.5, "gaps of length 1")
-    if sid == "exact_consec":
-        spec = _spec_param(params)
-        if side == "appear":
-            return appear(-1.0 / spec.size, f"exact pattern of size {spec.size}")
-        return disappear(-1.0 / spec.length, f"exact pattern of length {spec.length}")
-    if sid == "upper_consec":
-        spec = _spec_param(params)
-        return appear(-1.0 / spec.size, f"upper pattern of size {spec.size}")
-    if sid == "lower_consec":
-        spec = _spec_param(params)
-        return disappear(-1.0 / spec.length, f"lower pattern of length {spec.length}")
-    if sid == "equal_run":
-        (k,) = _require(params, "k")
-        if side == "appear":
-            return appear(-1.0 / k, f"runs of {k} equal nonzero terms")
-        return disappear(-1.0 / (k - 1), f"runs of {k} equal nonzero terms")
-    if sid == "tmax_ge":
-        (r,) = _require(params, "r")
-        return appear(-1.0 / r, f"terms >= {r}")
-    if sid == "tmin_ge":
-        return disappear(-1.0, "zero terms (smallest term leaves 0)")
-    if sid == "increasing_run":
-        (k,) = _require(params, "k")
-        return appear(-2.0 / (k * (k - 1)), f"increasing runs of length {k}")
-    if sid == "ordering_consec":
-        spec = _spec_param(params)
-        d, _ = ordering_disappearance_params(spec)
-        return disappear(-1.0 / d, "repeated-term ordering pattern")
-    if sid == "carlitz":
-        return disappear(-1.0, "adjacent equal terms (Carlitz transition)")
-    if sid == "equal_terms":
-        (k,) = _require(params, "k")
-        return disappear(-float(k) / (k - 1), f"{k} equal terms anywhere")
-    if sid == "exact_nonconsec":
-        spec = _spec_param(params)
-        if side == "appear":
-            r = max(spec.terms)
-            return appear(-1.0 / r, f"nonconsecutive exact pattern, largest term {r}")
-        return disappear(-1.0, "any nonconsecutive exact pattern")
-    if sid == "vincular":
-        spec = _spec_param(params)
-        if side == "appear":
-            s = max(sum(b) for b in spec.blocks)
-            return appear(-1.0 / s, f"vincular pattern, largest block size {s}")
-        ell = max(len(b) for b in spec.blocks)
-        return disappear(-1.0 / ell, f"vincular pattern, longest block length {ell}")
-    if sid == "total_ordering_nonconsec":
-        (k,) = _require(params, "k")
-        return appear(-1.0 / (k - 1), f"nonconsecutive total ordering pattern of length {k}")
-    if sid == "square":
-        return square_threshold(n, params.get("c", 0.0))
-    raise UnsupportedProperty(f"unknown statistic id {statistic_id!r}")
+    prop, row = _statistic(statistic_id, params)
+    if row.threshold is not None:
+        return row.threshold(prop, n)
+    s = _scaling(prop, row)
+    exponent = float(s.exponent)
+    value = n ** exponent
+    if s.param == "p":  # p* = n^exponent; m* = n*p*/q* ~ n^(1+exponent)
+        p_star, m_exponent, side = value, 1.0 + exponent, "appearance"
+    else:  # q* = n^exponent; m* ~ n^(1-exponent)
+        p_star, m_exponent, side = 1.0 - value, 1.0 - exponent, "disappearance"
+    return TheoryPrediction(value, "threshold_location", regime=f"{side} of {s.what}",
+                            exact=False,
+                            details={"param": s.param, "exponent": exponent,
+                                     "m_star": transfer_m_star(n, p_star),
+                                     "m_exponent": m_exponent})
 
 
 def square_threshold(n: int, c: float = 0.0) -> TheoryPrediction:

@@ -1,5 +1,7 @@
 import pytest
 
+from compevo.properties import Property
+
 # 50-term composition of 80 used in the chart-fidelity tests
 CHART_A = [0, 0, 2, 3, 1, 0, 1, 5, 0, 0, 0, 3, 2, 0, 1, 1, 2, 2, 2, 0,
            4, 3, 0, 0, 4, 4, 4, 4, 1, 0, 3, 1, 5, 1, 6, 3, 3, 0, 1, 0,
@@ -8,6 +10,40 @@ CHART_A = [0, 0, 2, 3, 1, 0, 1, 5, 0, 0, 0, 3, 2, 0, 1, 1, 2, 2, 2, 0,
 # 24-term composition used in the pattern-count tests
 CHART_B = [2, 0, 2, 0, 3, 1, 0, 2, 0, 2, 0, 3, 1, 0, 2, 0, 3, 1, 0, 2,
            0, 2, 0, 2]
+
+
+# every statistic id at least once; the route-agreement and oracle tests iterate it
+PROPERTIES = [
+    Property("cmax_ge", {"k": 1}), Property("cmax_ge", {"k": 3}),
+    Property("gmax_ge", {"k": 2}),
+    Property("cmin_gt", {"k": 1}), Property("gmin_gt", {"k": 2}),
+    Property("tmax_ge", {"r": 2}), Property("tmin_ge", {"r": 1}),
+    Property("equal_run", {"k": 2}), Property("equal_run", {"k": 3, "nonzero": False}),
+    Property("equal_terms", {"k": 3}),
+    Property("carlitz"),
+    Property("increasing_run", {"k": 3}),
+    Property("square", {"k": 1}), Property("square", {"k": 2}),
+    Property("any_square"), Property("any_square", {"min_k": 0}),
+    Property("any_square", {"min_k": 2}),
+    Property("exact_consec", spec="e:[1,0]"),
+    Property("upper_consec", spec="u:[1,1]"),
+    Property("lower_consec", spec="l:[0,1]"),
+    Property("ordering_consec", spec="o:[0,1,0]"),
+    Property("contains", spec="e:[2]"),
+    # vincular exact/upper/lower: the greedy block-chain scan
+    Property("contains", spec="e:1,[0,2]"),
+    Property("contains", spec="u:[1,1],2"),
+    Property("contains", spec="l:[0,1],0,[1]"),
+    Property("contains", spec="e:[0,0],[0,0]"),
+    # all-singleton exact/upper/lower: the same scan
+    Property("contains", spec="e:1,2"),
+    Property("contains", spec="u:1,1,1"),
+    Property("contains", spec="l:0,0"),
+    # a block longer than every n the route-agreement test draws (n <= 8)
+    Property("contains", spec="e:1,[0,0,0,0,0,0,0,0,0,0,0]"),
+    # nonconsecutive ordering: the per-row depth-first search
+    Property("contains", spec="o:0,1,0"),
+]
 
 
 @pytest.fixture

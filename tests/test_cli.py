@@ -134,6 +134,20 @@ def test_theory_threshold():
     assert code == 0 and "details" in doc
 
 
+def test_theory_passes_every_statistic_parameter():
+    code, out = run_cli("theory", "poisson", "equal_run", "k=3", "side=disappear", "alpha=2")
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(4 / 3)
+    code, out = run_cli("theory", "threshold", "exact_consec", "spec=e:[2]",
+                        "side=disappear", "n=10000")
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(1e-4)
+    assert run_cli("theory", "poisson", "cmax_ge", "k=two")[0] == 1
+
+
+def test_theory_degenerate_k_is_one_error_line(capsys):
+    assert run_cli("theory", "threshold", "equal_terms", "k=1")[0] == 2
+    assert capsys.readouterr().err == "error: statistic 'equal_terms' has no threshold at k = 1\n"
+
+
 def test_theory_expected_components():
     code, out = run_cli("theory", "expected-components", "n=100", "p=0.3")
     assert code == 0

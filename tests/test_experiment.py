@@ -218,6 +218,27 @@ def test_unsupported_theory_leaves_the_cell_empty():
     assert row.theory_value is None and row.abs_diff is None
 
 
+def test_equal_runs_with_zeros_get_the_theory_of_their_side():
+    def sweep(n, param, params, trials):
+        return run_sweep(ExperimentConfig.from_dict({
+            "version": 1, "model": "geometric",
+            "grid": {"n": n, "alphas": [1.0], "param": param, "exponent": -0.5},
+            "property": {"statistic": "equal_run", "params": params},
+            "trials": trials, "seed": 11,
+            "theory": {"poisson": "some"},
+        }))[0]
+
+    # runs of zeros are there from the start: no appearance theory
+    row = sweep(2000, "p", {"k": 2, "nonzero": False}, 10)
+    assert row.theory_value is None
+    # disappearance mean alpha^(k-1)/k; the finite-n bias here is about 0.005
+    trials = 2 * 4096
+    row = sweep(2500, "q", {"k": 3, "nonzero": False, "side": "disappear"}, trials)
+    t = row.theory_value
+    assert t == pytest.approx(1 - math.exp(-1 / 3))
+    assert abs(row.estimate.point - t) <= 4 * math.sqrt(t * (1 - t) / trials)
+
+
 def test_uniform_exponent_grid_leaves_the_theory_cell_empty():
     # the grid's alpha is the exponent c of m = n^c, not a Poisson scale
     cfg = ExperimentConfig.from_dict({

@@ -8,11 +8,12 @@ import pytest
 
 from compevo import theory
 from compevo.core import GuardExceeded, UnsupportedProperty
-from compevo.oracle import (enumerate_uniform, exact_prob_geometric_consecutive,
-                            exact_prob_uniform, iter_uniform, negbin_log_pmf,
-                            window_prob_geometric)
+from compevo.oracle import (DEFAULT_WIDTH, GEOMETRIC_FORMS, enumerate_uniform,
+                            exact_prob_geometric_consecutive, exact_prob_uniform,
+                            iter_uniform, negbin_log_pmf, window_prob_geometric)
 from compevo.patterns import parse_pattern
 from compevo.properties import Property
+from conftest import PROPERTIES
 
 GOLDEN = Path(__file__).parent / "golden_uniform.json"
 
@@ -65,16 +66,18 @@ def test_dp_matches_mask_enumeration():
     assert res.lo == res.hi == pytest.approx(1 - allowed)
 
 
-@pytest.mark.parametrize("statistic,params", [
-    ("cmax_ge", {"k": 2}), ("gmax_ge", {"k": 2}),
-    ("cmin_gt", {"k": 1}), ("gmin_gt", {"k": 1}),
-])
-def test_run_dp_against_brute_force(statistic, params):
+def test_every_geometric_oracle_brackets_brute_force():
+    # every id of GEOMETRIC_FORMS and each consecutive e/u/l pattern row;
+    # brute force misses the mass of terms above V, at most n * p^(V+1)
+    props = [prop for prop in PROPERTIES if prop.oracle_form() is not None]
+    assert set(GEOMETRIC_FORMS) <= {prop.statistic_id for prop in props}
     for n, p in [(3, 0.5), (4, 0.3)]:
-        res = exact_prob_geometric_consecutive(n, p, (statistic, params))
-        ref = _brute_geometric(n, p, Property(statistic, params))
-        assert res.lo == pytest.approx(ref, abs=1e-7)
-        assert res.width == 0.0
+        tail = n * p ** 26
+        for prop in props:
+            res = exact_prob_geometric_consecutive(n, p, prop.oracle_form())
+            ref = _brute_geometric(n, p, prop, V=25)
+            assert res.lo - tail - 1e-12 <= ref <= res.hi + 1e-12, (prop, n, p, res, ref)
+            assert res.width <= DEFAULT_WIDTH + 1e-12, (prop, n, p, res)
 
 
 @pytest.mark.parametrize("text", ["e:[0,0]", "e:[1,1]", "u:[2,1]", "l:[0,1]", "e:[2,0,2]"])
@@ -90,16 +93,6 @@ def test_pattern_dp_against_brute_force(text):
 def test_zero_pattern_is_exact_product():
     res = exact_prob_geometric_consecutive(2, 0.5, parse_pattern("e:[0,0]"))
     assert res.lo == res.hi == pytest.approx(0.25)
-
-
-def test_truncated_properties_bracket_brute_force():
-    for statistic, params in [("equal_run", {"k": 2, "nonzero": True}),
-                              ("carlitz", {}), ("any_square", {})]:
-        res = exact_prob_geometric_consecutive(4, 0.5, (statistic, params))
-        ref = _brute_geometric(4, 0.5, Property(statistic, params), V=28)
-        tail = 4 * 0.5 ** 29
-        assert res.lo - tail <= ref <= res.hi + tail
-        assert res.width <= 1e-9 + 1e-12
 
 
 def test_any_square_side_cap_brackets_brute_force():
@@ -169,6 +162,57 @@ def test_exact_forms_reach_the_poisson_limit(name):
     p, form, limit = _poisson_case(name, 10 ** 8)
     res = exact_prob_geometric_consecutive(10 ** 8, p, form)
     assert abs(res.lo - limit) <= 5e-4
+
+
+# (property, whether it holds when its count is positive or when it is zero);
+# each statistic's rows with both an oracle and a Poisson limit, sized so the
+# finite-n bias at n = 10^6 stays below 3.7e-3 (cmax_ge k = 3)
+POISSON_CASES = [
+    pytest.param(Property("cmax_ge", {"k": 2}), "some", id="cmax_ge-2"),
+    pytest.param(Property("cmax_ge", {"k": 3}), "some", id="cmax_ge-3"),
+    pytest.param(Property("gmax_ge", {"k": 2}), "some", id="gmax_ge"),
+    pytest.param(Property("cmin_gt", {"k": 1}), "none", id="cmin_gt"),
+    pytest.param(Property("gmin_gt", {"k": 1}), "none", id="gmin_gt"),
+    pytest.param(Property("tmax_ge", {"r": 2}), "some", id="tmax_ge"),
+    pytest.param(Property("tmin_ge", {"r": 1}), "none", id="tmin_ge"),
+    pytest.param(Property("equal_run", {"k": 2}), "some", id="equal_run"),
+    pytest.param(Property("exact_consec", spec="e:[1,1]"), "some", id="exact_consec-appear"),
+    pytest.param(Property("exact_consec", {"side": "disappear"}, spec="e:[0,1]"), "some",
+                 id="exact_consec-disappear"),
+    pytest.param(Property("upper_consec", spec="u:[1,1]"), "some", id="upper_consec"),
+    pytest.param(Property("lower_consec", spec="l:[0,1]"), "some", id="lower_consec"),
+]
+
+
+def _theory_params(prop):
+    return {**prop.params, "spec": prop.spec}
+
+
+def test_poisson_cases_cover_every_statistic_with_an_oracle_and_a_limit():
+    both = set()
+    for prop in PROPERTIES:
+        try:
+            theory.poisson_limit(prop.statistic_id, _theory_params(prop), 1.0)
+        except UnsupportedProperty:
+            continue
+        if prop.oracle_form() is not None:
+            both.add(prop.statistic_id)
+    # carlitz disappears at q ~ 1/n, and the disappearance side of equal_run at
+    # q ~ n^(-1/(k-1)): there the value-tracking automaton needs about
+    # log(n/width)/q value classes, too many to build
+    assert both - {"carlitz"} == {case.values[0].statistic_id for case in POISSON_CASES}
+
+
+@pytest.mark.parametrize("prop,polarity", POISSON_CASES)
+def test_oracle_meets_the_poisson_limit_at_each_threshold(prop, polarity):
+    # threshold row -> oracle at p or q = 1 * n^exponent -> Poisson row at alpha = 1
+    n, params = 10 ** 6, _theory_params(prop)
+    where = theory.threshold_location(prop.statistic_id, params, n)
+    p = where.value if where.details["param"] == "p" else 1.0 - where.value
+    res = exact_prob_geometric_consecutive(n, p, prop.oracle_form())
+    limit = theory.poisson_limit(prop.statistic_id, params, 1.0)
+    want = limit.prob_some() if polarity == "some" else limit.prob_none()
+    assert abs(res.value - want) <= 5e-3
 
 
 def test_unsupported_properties():

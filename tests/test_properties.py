@@ -5,44 +5,15 @@ a time; ``holds_batch`` decides a whole (trials, n) matrix with array
 operations.  Every statistic id must give the same answer on every row.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from compevo.core import UnsupportedProperty
-from compevo.properties import KNOWN_STATISTICS, Property
-
-PROPERTIES = [
-    Property("cmax_ge", {"k": 1}), Property("cmax_ge", {"k": 3}),
-    Property("gmax_ge", {"k": 2}),
-    Property("cmin_gt", {"k": 1}), Property("gmin_gt", {"k": 2}),
-    Property("tmax_ge", {"r": 2}), Property("tmin_ge", {"r": 1}),
-    Property("equal_run", {"k": 2}), Property("equal_run", {"k": 3, "nonzero": False}),
-    Property("equal_terms", {"k": 3}),
-    Property("carlitz"),
-    Property("increasing_run", {"k": 3}),
-    Property("square", {"k": 1}), Property("square", {"k": 2}),
-    Property("any_square"), Property("any_square", {"min_k": 0}),
-    Property("any_square", {"min_k": 2}),
-    Property("exact_consec", spec="e:[1,0]"),
-    Property("upper_consec", spec="u:[1,1]"),
-    Property("lower_consec", spec="l:[0,1]"),
-    Property("ordering_consec", spec="o:[0,1,0]"),
-    Property("contains", spec="e:[2]"),
-    # vincular exact/upper/lower: the greedy block-chain scan
-    Property("contains", spec="e:1,[0,2]"),
-    Property("contains", spec="u:[1,1],2"),
-    Property("contains", spec="l:[0,1],0,[1]"),
-    Property("contains", spec="e:[0,0],[0,0]"),
-    # all-singleton exact/upper/lower: the same scan
-    Property("contains", spec="e:1,2"),
-    Property("contains", spec="u:1,1,1"),
-    Property("contains", spec="l:0,0"),
-    # a block longer than every n drawn below
-    Property("contains", spec="e:1,[0,0,0,0,0,0,0,0,0,0,0]"),
-    # nonconsecutive ordering: the per-row depth-first search
-    Property("contains", spec="o:0,1,0"),
-]
+from compevo.properties import STATISTICS, Property
+from conftest import PROPERTIES
 
 SMALL = st.integers(0, 3)
 LARGE = st.integers(0, 2 ** 40)
@@ -68,7 +39,13 @@ def _assert_routes_agree(prop, samples):
 
 
 def test_every_statistic_is_covered():
-    assert {p.statistic_id for p in PROPERTIES} == KNOWN_STATISTICS
+    assert {p.statistic_id for p in PROPERTIES} == set(STATISTICS)
+
+
+def test_every_statistic_is_in_the_readme():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text[text.index("## Statistics"):]
+    assert [sid for sid in STATISTICS if f"| `{sid}` |" not in table] == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -150,6 +150,45 @@ def test_unknown_statistic():
         theory.threshold_location("nope", {}, 100)
 
 
+@pytest.mark.parametrize("sid,params", [
+    ("equal_terms", {"k": 1}), ("increasing_run", {"k": 1}),
+    ("equal_run", {"k": 1, "side": "disappear"}),
+])
+def test_degenerate_k_has_no_threshold(sid, params):
+    # each property always holds at k = 1, so no count grows with n
+    with pytest.raises(UnsupportedProperty, match="has no threshold at k = 1"):
+        theory.poisson_limit(sid, params, 1.0)
+    with pytest.raises(UnsupportedProperty, match="has no threshold at k = 1"):
+        theory.threshold_location(sid, params, 100)
+
+
+def test_theory_answers_only_the_side_a_statistic_has():
+    # zero runs are there from the start: no appearance side with nonzero=False
+    with pytest.raises(UnsupportedProperty):
+        theory.poisson_limit("equal_run", {"k": 2, "nonzero": False}, 1.0)
+    assert theory.poisson_limit("equal_run", {"k": 3, "nonzero": False, "side": "disappear"},
+                                2.0).value == pytest.approx(4 / 3)
+    with pytest.raises(UnsupportedProperty, match="'disappear'"):
+        theory.threshold_location("cmax_ge", {"k": 2, "side": "disappear"}, 100)
+
+
+def test_contains_threshold_follows_the_pattern_structure():
+    def where(spec, side="appear"):
+        t = theory.threshold_location("contains", {"spec": spec, "side": side}, 10 ** 4)
+        return t.details["param"], t.details["exponent"]
+
+    assert where("e:1,3") == ("p", pytest.approx(-1 / 3))      # largest term
+    assert where("e:1,3", "disappear") == ("q", -1.0)
+    assert where("e:[1,2],0") == ("p", pytest.approx(-1 / 3))  # largest block size
+    assert where("e:[1,2],0", "disappear") == ("q", -0.5)      # longest block
+    assert where("o:0,2,1") == ("p", -0.5)                      # total ordering, length 3
+    for spec in ("e:[1,1]", "u:1,2", "o:0,1,0", "o:[0,1],2"):
+        with pytest.raises(UnsupportedProperty):
+            theory.threshold_location("contains", {"spec": spec}, 10 ** 4)
+    with pytest.raises(UnsupportedProperty):
+        theory.poisson_limit("contains", {"spec": "e:1,3"}, 1.0)
+
+
 def test_threshold_exponents():
     spec = "e:[3,1,4,1,5,9]"  # length 6, size 23
     up = theory.threshold_location("exact_consec", {"spec": spec, "side": "appear"}, 10 ** 4)
