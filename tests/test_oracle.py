@@ -66,6 +66,18 @@ def test_dp_matches_mask_enumeration():
     assert res.lo == res.hi == pytest.approx(1 - allowed)
 
 
+@pytest.mark.parametrize("statistic,params", [
+    ("cmax_ge", {"k": 2}), ("gmax_ge", {"k": 2}),
+    ("cmin_gt", {"k": 1}), ("gmin_gt", {"k": 1}),
+])
+def test_run_dp_against_brute_force(statistic, params):
+    for n, p in [(3, 0.5), (4, 0.3)]:
+        res = exact_prob_geometric_consecutive(n, p, (statistic, params))
+        ref = _brute_geometric(n, p, Property(statistic, params))
+        assert res.lo == pytest.approx(ref, abs=1e-7)
+        assert res.width == 0.0
+
+
 def test_every_geometric_oracle_brackets_brute_force():
     # every id of GEOMETRIC_FORMS and each consecutive e/u/l pattern row;
     # brute force misses the mass of terms above V, at most n * p^(V+1)
@@ -93,6 +105,16 @@ def test_pattern_dp_against_brute_force(text):
 def test_zero_pattern_is_exact_product():
     res = exact_prob_geometric_consecutive(2, 0.5, parse_pattern("e:[0,0]"))
     assert res.lo == res.hi == pytest.approx(0.25)
+
+
+def test_truncated_properties_bracket_brute_force():
+    for statistic, params in [("equal_run", {"k": 2, "nonzero": True}),
+                              ("carlitz", {}), ("any_square", {})]:
+        res = exact_prob_geometric_consecutive(4, 0.5, (statistic, params))
+        ref = _brute_geometric(4, 0.5, Property(statistic, params), V=28)
+        tail = 4 * 0.5 ** 29
+        assert res.lo - tail <= ref <= res.hi + tail
+        assert res.width <= 1e-9 + 1e-12
 
 
 def test_any_square_side_cap_brackets_brute_force():
