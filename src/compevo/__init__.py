@@ -3,8 +3,7 @@
 from .core import (Composition, EstimateResult, GeometricModel, GuardExceeded,
                    PatternKind, PatternSpec, UniformModel, UnsupportedProperty,
                    composition_size, count_compositions)
-from .patterns import (MatchReport, PatternSyntaxError, match, match_consecutive,
-                       match_nonconsecutive, match_vincular, parse_pattern)
+from .patterns import MatchReport, PatternSyntaxError, match, parse_pattern
 from .properties import Property
 from .rng import RngStream
 from .samplers import (evolve_step, sample_bridge, sample_geometric,
@@ -18,8 +17,7 @@ __all__ = [
     "MatchReport", "PatternKind", "PatternSpec", "PatternSyntaxError",
     "Property", "RngStream", "TheoryPrediction", "UniformModel",
     "UnsupportedProperty", "composition_size", "count_compositions",
-    "evolve_step", "match", "match_consecutive", "match_nonconsecutive",
-    "match_vincular", "parse_pattern", "poisson_limit", "sample_bridge",
+    "evolve_step", "match", "parse_pattern", "poisson_limit", "sample_bridge",
     "sample_geometric", "sample_uniform_bars", "sample_uniform_chain",
     "threshold_location",
 ]

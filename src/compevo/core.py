@@ -143,9 +143,6 @@ class GeometricModel:
         return self.n * self.p / self.q
 
 
-ModelParams = Union[UniformModel, GeometricModel]
-
-
 class PatternKind(Enum):
     EXACT = "e"
     UPPER = "u"

@@ -35,6 +35,7 @@ import numpy as np
 
 from .core import (GuardExceeded, PatternKind, PatternSpec, UnsupportedProperty,
                    count_compositions)
+from .patterns import match
 
 ENUMERATION_GUARD = 10_000_000
 DEFAULT_WIDTH = 1e-9
@@ -95,20 +96,6 @@ def iter_uniform(n: int, m: int) -> Iterator[tuple[int, ...]]:
             terms[j] = 0
         terms[-1] = total
         yield tuple(terms)
-
-
-def enumerate_uniform(n: int, m: int,
-                      visitor: Callable[[tuple[int, ...]], None] | None = None) -> int:
-    """Visit every n-composition of m once, lexicographically; return the count."""
-    total = count_compositions(n, m)
-    if total > ENUMERATION_GUARD:
-        raise GuardExceeded(f"binom({m + n - 1},{m}) = {total} exceeds {ENUMERATION_GUARD}")
-    seen = 0
-    for comp in iter_uniform(n, m):
-        if visitor is not None:
-            visitor(comp)
-        seen += 1
-    return seen
 
 
 def exact_prob_uniform(n: int, m: int,
@@ -384,8 +371,11 @@ GEOMETRIC_FORMS: dict[str, Callable[[int, float, dict, float], ExactProbability]
     "gmax_ge": lambda n, p, params, width: _exact(_longest_run_ge(n, p, params["k"], 0)),
     "cmin_gt": lambda n, p, params, width: _exact(_shortest_run_gt(n, p, params["k"], 1)),
     "gmin_gt": lambda n, p, params, width: _exact(_shortest_run_gt(n, p, params["k"], 0)),
+    # tmax >= r always holds for r <= 0, where log1p(-p**r) is undefined
     "tmax_ge": lambda n, p, params, width: _exact(
-        1.0 - math.exp(n * math.log1p(-p ** params["r"])) if p > 0 else 0.0, "closed_form"),
+        1.0 if params["r"] <= 0
+        else 1.0 - math.exp(n * math.log1p(-p ** params["r"])) if p > 0 else 0.0,
+        "closed_form"),
     "tmin_ge": lambda n, p, params, width: _exact(p ** (params["r"] * n), "closed_form"),
     "equal_run": lambda n, p, params, width: _interval(
         *_equal_run_lo(n, p, params["k"], params.get("nonzero", True), width)),
@@ -430,10 +420,7 @@ def window_prob_geometric(spec: PatternSpec, p: float,
     if not (0.0 <= p < 1.0):
         raise ValueError("need 0 <= p < 1")
     if p == 0.0:
-        from .patterns import match_consecutive
-        zero = (0,) * k
-        hit = match_consecutive(zero, spec).exists
-        v = 1.0 if hit else 0.0
+        v = 1.0 if match((0,) * k, spec).exists else 0.0
         return ExactProbability(v, v, "window_enum")
     V = _value_cap(k, p, width)
     if (V + 1) ** k > 20_000_000:

@@ -20,19 +20,30 @@ default a gap of zero intervening positions between consecutive blocks is
 allowed; ``strict=True`` requires at least one free position between blocks.
 ``strict`` only affects mixed (vincular) structures: fully nonconsecutive
 patterns carry no adjacency constraint at all.
+
+``match`` is the one matcher.  Exact/upper/lower patterns and consecutive
+ordering patterns take one path: a mask per block over the n start positions,
+then an exact-integer DP over increasing anchor tuples (one block: the mask's
+sum).  An occurrence is the tuple of its 1-based block starts; ``positions``
+lists the first POSITION_CAP of them.  Nonconsecutive ordering patterns (at
+most ORDERING_MAX_LENGTH terms) are counted by a depth-first search capped at
+NODE_CAP nodes; ordering patterns with mixed blocks are not supported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from .core import (BlockStructure, GuardExceeded, PatternKind, PatternSpec,
-                   TermsLike, UnsupportedProperty, as_terms)
+from .core import (BlockStructure, PatternKind, PatternSpec, TermsLike,
+                   UnsupportedProperty, as_terms)
 
 ORDERING_MAX_LENGTH = 8
-DEFAULT_NODE_CAP = 10_000_000
+NODE_CAP = 10_000_000
+POSITION_CAP = 100_000
 
 
 class PatternSyntaxError(ValueError):
@@ -112,9 +123,11 @@ def _parse_terms(text: str, offset: int) -> list[int]:
 class MatchReport:
     """Occurrence report: existence, count, optional anchors.
 
-    Counts are anchored at start positions (consecutive) or block-start
-    tuples (vincular / nonconsecutive); ``truncated`` marks a count that is
-    only a lower bound because a search cap was hit.
+    ``count`` is exact, except that ``truncated`` marks the count of a
+    nonconsecutive ordering pattern as a lower bound because its search hit
+    NODE_CAP.  ``positions`` (only when asked for, and never for nonconsecutive
+    ordering patterns) holds the first POSITION_CAP block-start tuples, so
+    ``len(positions) < count`` marks a cut list.
     """
 
     exists: bool
@@ -123,159 +136,69 @@ class MatchReport:
     truncated: bool = False
 
 
-def _consecutive_match_mask(terms: np.ndarray, kind: PatternKind,
-                            pattern: tuple[int, ...]) -> np.ndarray:
-    """Boolean array over start positions where the window matches."""
-    k = len(pattern)
-    n = terms.shape[0]
-    if k > n:
-        return np.zeros(0, dtype=bool)
+_COMPARE = {PatternKind.EXACT: np.equal, PatternKind.UPPER: np.greater_equal,
+            PatternKind.LOWER: np.less_equal}
+
+
+def _block_mask(terms: np.ndarray, kind: PatternKind, block: tuple[int, ...]) -> np.ndarray:
+    """Boolean array over the n start positions: True where the block's window matches."""
+    k = len(block)
+    full = np.zeros(terms.shape[0], dtype=bool)
+    if k > terms.shape[0]:
+        return full
     windows = np.lib.stride_tricks.sliding_window_view(terms, k)
-    pat = np.asarray(pattern, dtype=np.int64)
-    if kind is PatternKind.EXACT:
-        return np.all(windows == pat, axis=1)
-    if kind is PatternKind.UPPER:
-        return np.all(windows >= pat, axis=1)
-    if kind is PatternKind.LOWER:
-        return np.all(windows <= pat, axis=1)
-    # ordering: compare the sign of every pair, equalities included
-    mask = np.ones(windows.shape[0], dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if pattern[i] < pattern[j]:
-                mask &= windows[:, i] < windows[:, j]
-            elif pattern[i] > pattern[j]:
-                mask &= windows[:, i] > windows[:, j]
-            else:
-                mask &= windows[:, i] == windows[:, j]
-    return mask
+    if kind is PatternKind.ORDERING:
+        # the window must order every pair of terms as the block does, ties included
+        mask = np.ones(windows.shape[0], dtype=bool)
+        for i, j in combinations(range(k), 2):
+            a, b = windows[:, i], windows[:, j]
+            mask &= a < b if block[i] < block[j] else a > b if block[i] > block[j] else a == b
+    else:
+        mask = _COMPARE[kind](windows, np.asarray(block, dtype=np.int64)).all(axis=1)
+    full[: mask.shape[0]] = mask
+    return full
 
 
-def match_consecutive(c: TermsLike, spec: PatternSpec,
-                      with_positions: bool = False) -> MatchReport:
-    """Count start positions where a consecutive pattern occurs."""
-    if spec.structure is not BlockStructure.CONSECUTIVE:
-        raise UnsupportedProperty("match_consecutive needs a single-block pattern")
-    terms = as_terms(c)
-    mask = _consecutive_match_mask(terms, spec.kind, spec.blocks[0])
-    count = int(mask.sum())
-    positions = None
-    if with_positions:
-        positions = tuple((int(i) + 1,) for i in np.nonzero(mask)[0])
-    return MatchReport(exists=count > 0, count=count, positions=positions)
-
-
-def _padded_masks(terms: np.ndarray, spec: PatternSpec) -> list[np.ndarray]:
-    """Per-block anchor masks, all padded to length n (False where no fit)."""
-    n = terms.shape[0]
-    out = []
-    for b in spec.blocks:
-        mask = _consecutive_match_mask(terms, spec.kind, b)
-        full = np.zeros(n, dtype=bool)
-        full[: mask.shape[0]] = mask
-        out.append(full)
-    return out
-
-
-def _block_anchor_tuples(block_masks: list[np.ndarray], block_lengths: list[int],
-                         gap_min: int) -> int:
-    """Count increasing anchor tuples via prefix-sum DP.
-
-    Masks must share a common length (see _padded_masks).
-    """
-    n = block_masks[0].shape[0] if block_masks else 0
+def _count_anchor_tuples(masks: list[np.ndarray], shifts: list[int]) -> int:
+    """Exact-integer count of anchor tuples; block b + 1 starts >= shifts[b] after block b."""
+    if len(masks) == 1:
+        return int(np.count_nonzero(masks[0]))
     # ways[i] = number of ways to place blocks 0..b with block b anchored at i
-    ways = [1 if m else 0 for m in block_masks[0]]
-    for b in range(1, len(block_masks)):
-        shift = block_lengths[b - 1] + gap_min
-        prev = ways
-        ways = [0] * n
-        cum = [0] * (n + 1)
-        for i in range(n):
-            cum[i + 1] = cum[i] + prev[i]
-        for i in range(n):
-            if block_masks[b][i]:
-                avail = i - shift + 1  # anchors of previous block must be <= i - shift
-                if avail > 0:
-                    ways[i] = cum[avail]
+    ways = masks[0].tolist()
+    for mask, shift in zip(masks[1:], shifts):
+        cum = list(accumulate(ways, initial=0))
+        # anchors of the previous block must be <= i - shift
+        ways = [cum[i - shift + 1] if hit and i >= shift else 0
+                for i, hit in enumerate(mask.tolist())]
     return sum(ways)
 
 
-def _enumerate_anchor_tuples(block_masks, block_lengths, gap_min, cap):
-    n = block_masks[0].shape[0]
+def _list_anchor_tuples(masks: list[np.ndarray],
+                        shifts: list[int]) -> list[tuple[int, ...]]:
+    """The first POSITION_CAP anchor tuples, 1-based, in lexicographic order."""
+    anchors = [np.flatnonzero(m).tolist() for m in masks]
     found: list[tuple[int, ...]] = []
 
     def rec(b: int, lo: int, prefix: tuple[int, ...]) -> bool:
-        if b == len(block_masks):
-            found.append(tuple(p + 1 for p in prefix))
-            return len(found) <= cap
-        for i in range(lo, n):
-            if block_masks[b][i]:
-                if not rec(b + 1, i + block_lengths[b] + gap_min, prefix + (i,)):
-                    return False
+        if b == len(anchors):
+            found.append(prefix)
+            return len(found) < POSITION_CAP
+        for i in anchors[b][bisect_left(anchors[b], lo):]:
+            before = len(found)
+            if not rec(b + 1, i + shifts[b], prefix + (i + 1,)):
+                return False
+            if len(found) == before:  # a later anchor leaves even less room
+                break
         return True
 
-    complete = rec(0, 0, ())
-    return found, complete
+    rec(0, 0, ())
+    return found
 
 
-def match_vincular(c: TermsLike, spec: PatternSpec, strict: bool = False,
-                   with_positions: bool = False,
-                   position_cap: int = 100_000) -> MatchReport:
-    """Match a multi-block pattern: blocks in order on disjoint index ranges.
-
-    ``strict`` requires a gap of at least one position between consecutive
-    blocks; the default allows adjacent blocks.
-    """
-    if spec.kind is PatternKind.ORDERING and spec.structure is BlockStructure.VINCULAR:
-        raise UnsupportedProperty("ordering patterns with mixed blocks are not supported")
-    if spec.structure is BlockStructure.CONSECUTIVE:
-        return match_consecutive(c, spec, with_positions=with_positions)
-    if spec.kind is PatternKind.ORDERING:
-        return match_nonconsecutive(c, spec)
-    terms = as_terms(c)
-    gap_min = 1 if (strict and spec.structure is BlockStructure.VINCULAR) else 0
-    block_masks = _padded_masks(terms, spec)
-    lengths = [len(b) for b in spec.blocks]
-    if any(not m.any() for m in block_masks):
-        return MatchReport(exists=False, count=0,
-                           positions=() if with_positions else None)
-    count = _block_anchor_tuples(block_masks, lengths, gap_min)
-    positions = None
-    if with_positions:
-        listed, complete = _enumerate_anchor_tuples(block_masks, lengths, gap_min, position_cap)
-        positions = tuple(listed if complete else listed[:position_cap])
-    return MatchReport(exists=count > 0, count=count, positions=positions)
-
-
-def _greedy_subsequence(terms: np.ndarray, kind: PatternKind,
-                        pattern: tuple[int, ...]) -> bool:
-    """Left-most subsequence scan; decides existence for exact/upper/lower."""
-    j = 0
-    for v in terms:
-        r = pattern[j]
-        ok = (v == r if kind is PatternKind.EXACT
-              else v >= r if kind is PatternKind.UPPER
-              else v <= r)
-        if ok:
-            j += 1
-            if j == len(pattern):
-                return True
-    return False
-
-
-def _ordering_subsequence_dfs(terms: np.ndarray, pattern: tuple[int, ...],
-                              node_cap: int, count_all: bool):
-    """DFS over index tuples for a nonconsecutive ordering pattern.
-
-    Returns (exists, count, truncated).  With count_all=False the search
-    stops at the first occurrence.
-    """
-    n = terms.shape[0]
-    k = len(pattern)
-    visited = 0
-    count = 0
-    truncated = False
+def _ordering_subsequence_dfs(terms: np.ndarray, pattern: tuple[int, ...]):
+    """(count, truncated) of index tuples ordered like ``pattern``; DFS up to NODE_CAP nodes."""
+    n, k = terms.shape[0], len(pattern)
+    visited = count = 0
     chosen: list[int] = []
 
     def consistent(idx: int, t: int) -> bool:
@@ -291,62 +214,45 @@ def _ordering_subsequence_dfs(terms: np.ndarray, pattern: tuple[int, ...],
         return True
 
     def rec(t: int, lo: int) -> bool:
-        nonlocal visited, count, truncated
+        nonlocal visited, count
         if t == k:
             count += 1
-            return count_all
+            return True
         for idx in range(lo, n - (k - t) + 1):
             visited += 1
-            if visited > node_cap:
-                truncated = True
+            if visited > NODE_CAP:
                 return False
             if consistent(idx, t):
                 chosen.append(idx)
-                keep_going = rec(t + 1, idx + 1)
-                chosen.pop()
-                if not keep_going:
+                if not rec(t + 1, idx + 1):
                     return False
+                chosen.pop()
         return True
 
-    rec(0, 0)
-    return count > 0, count, truncated
-
-
-def match_nonconsecutive(c: TermsLike, spec: PatternSpec,
-                         node_cap: int = DEFAULT_NODE_CAP,
-                         count_occurrences: bool = True) -> MatchReport:
-    """Match a fully nonconsecutive pattern (every block a singleton)."""
-    if spec.structure is BlockStructure.VINCULAR:
-        raise UnsupportedProperty("pattern has multi-term blocks; use match_vincular")
-    if spec.structure is BlockStructure.CONSECUTIVE and spec.length > 1:
-        raise UnsupportedProperty("pattern is consecutive; use match_consecutive")
-    terms = as_terms(c)
-    pattern = spec.terms
-    if spec.kind is PatternKind.ORDERING:
-        if len(pattern) > ORDERING_MAX_LENGTH:
-            raise UnsupportedProperty(
-                f"nonconsecutive ordering patterns limited to length {ORDERING_MAX_LENGTH}")
-        exists, count, truncated = _ordering_subsequence_dfs(
-            terms, pattern, node_cap, count_all=count_occurrences)
-        if truncated and not exists and not count_occurrences:
-            raise GuardExceeded("existence search exceeded the node cap")
-        return MatchReport(exists=exists, count=count, truncated=truncated)
-    exists = _greedy_subsequence(terms, spec.kind, pattern)
-    if not count_occurrences:
-        return MatchReport(exists=exists, count=1 if exists else 0, truncated=True)
-    masks = _padded_masks(terms, spec)
-    count = _block_anchor_tuples(masks, [1] * len(pattern), 0)
-    return MatchReport(exists=exists, count=count)
+    truncated = not rec(0, 0)
+    return count, truncated
 
 
 def match(c: TermsLike, spec: PatternSpec, strict: bool = False,
           with_positions: bool = False) -> MatchReport:
-    """Dispatch to the matcher appropriate for the pattern's block structure."""
+    """Count the occurrences of ``spec`` in ``c``; list their anchors if asked.
+
+    ``strict`` requires a gap of at least one position between consecutive
+    blocks of a vincular pattern; the default allows adjacent blocks.
+    """
+    terms = as_terms(c)
     structure = spec.structure
-    if structure is BlockStructure.CONSECUTIVE:
-        return match_consecutive(c, spec, with_positions=with_positions)
-    if structure is BlockStructure.NONCONSECUTIVE:
-        if spec.kind is PatternKind.ORDERING:
-            return match_nonconsecutive(c, spec)
-        return match_vincular(c, spec, strict=strict, with_positions=with_positions)
-    return match_vincular(c, spec, strict=strict, with_positions=with_positions)
+    if spec.kind is PatternKind.ORDERING and structure is not BlockStructure.CONSECUTIVE:
+        if structure is BlockStructure.VINCULAR:
+            raise UnsupportedProperty("ordering patterns with mixed blocks are not supported")
+        if spec.length > ORDERING_MAX_LENGTH:
+            raise UnsupportedProperty(
+                f"nonconsecutive ordering patterns limited to length {ORDERING_MAX_LENGTH}")
+        count, truncated = _ordering_subsequence_dfs(terms, spec.terms)
+        return MatchReport(exists=count > 0, count=count, truncated=truncated)
+    gap_min = 1 if (strict and structure is BlockStructure.VINCULAR) else 0
+    masks = [_block_mask(terms, spec.kind, b) for b in spec.blocks]
+    shifts = [len(b) + gap_min for b in spec.blocks]
+    count = _count_anchor_tuples(masks, shifts)
+    positions = tuple(_list_anchor_tuples(masks, shifts)) if with_positions else None
+    return MatchReport(exists=count > 0, count=count, positions=positions)

@@ -278,9 +278,11 @@ STATISTICS: dict[str, StatisticDef] = {
         holds_batch=_equal_terms_batch,
         needs="k",
         # k-tuples of equal terms anywhere: about n^k q^(k-1) / (k k!) of them
+        # (k < 1 has no threshold, and theory refuses it by its power)
         scaling=lambda prop: Scaling(
             "q", prop.params["k"] - 1, f"{prop.params['k']} equal terms anywhere",
-            coefficient=1 / (prop.params["k"] * math.factorial(prop.params["k"])),
+            coefficient=(1 / (prop.params["k"] * math.factorial(prop.params["k"]))
+                         if prop.params["k"] >= 1 else None),
             positions=prop.params["k"])),
     "carlitz": StatisticDef(
         holds=lambda prop, c: analysis.is_carlitz(c),

@@ -17,7 +17,8 @@ PROPERTIES = [
     Property("cmax_ge", {"k": 1}), Property("cmax_ge", {"k": 3}),
     Property("gmax_ge", {"k": 2}),
     Property("cmin_gt", {"k": 1}), Property("gmin_gt", {"k": 2}),
-    Property("tmax_ge", {"r": 2}), Property("tmin_ge", {"r": 1}),
+    Property("tmax_ge", {"r": 2}), Property("tmax_ge", {"r": 0}),
+    Property("tmin_ge", {"r": 1}),
     Property("equal_run", {"k": 2}), Property("equal_run", {"k": 3, "nonzero": False}),
     Property("equal_terms", {"k": 3}),
     Property("carlitz"),
@@ -58,6 +59,11 @@ def chart_b():
 
 def naive_match_count(terms, spec, strict=False):
     """Brute force over all block placements; the authoritative reference."""
+    return len(naive_placements(terms, spec, strict))
+
+
+def naive_placements(terms, spec, strict=False):
+    """Every matching placement, as 1-based block starts in lexicographic order."""
     from compevo.core import BlockStructure, PatternKind
 
     terms = list(terms)
@@ -77,10 +83,9 @@ def naive_match_count(terms, spec, strict=False):
             return v <= r
         return True
 
-    count = 0
+    found = []
 
     def rec(bi, minstart, chosen):
-        nonlocal count
         if bi == len(blocks):
             idxs = []
             for st, b in zip(chosen, blocks):
@@ -93,14 +98,14 @@ def naive_match_count(terms, spec, strict=False):
             else:
                 ok = all(ok_pair(v, r) for v, r in zip(vals, pat))
             if ok:
-                count += 1
+                found.append(tuple(st + 1 for st in chosen))
             return
         lo = minstart + (1 if (strict and bi > 0) else 0)
         for st in range(lo, n - lens[bi] + 1):
             rec(bi + 1, st + lens[bi], chosen + [st])
 
     rec(0, 0, [])
-    return count
+    return found
 
 
 def naive_stats(terms):

@@ -146,6 +146,8 @@ def test_theory_passes_every_statistic_parameter():
 def test_theory_degenerate_k_is_one_error_line(capsys):
     assert run_cli("theory", "threshold", "equal_terms", "k=1")[0] == 2
     assert capsys.readouterr().err == "error: statistic 'equal_terms' has no threshold at k = 1\n"
+    assert run_cli("theory", "poisson", "equal_terms", "k=0")[0] == 2
+    assert capsys.readouterr().err == "error: statistic 'equal_terms' has no threshold at k = 0\n"
 
 
 def test_theory_expected_components():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import compevo
 from compevo.core import (Composition, EstimateResult, GeometricModel, PatternKind,
                           PatternSpec, UniformModel, composition_size,
                           count_compositions)
-from compevo.oracle import enumerate_uniform
+from compevo.oracle import iter_uniform
 
 
 def test_composition_size_examples(chart_a):
@@ -43,7 +44,7 @@ def test_count_compositions():
 def test_count_matches_enumeration():
     for n in range(1, 8):
         for m in range(0, 21 - n):
-            assert count_compositions(n, m) == enumerate_uniform(n, m)
+            assert count_compositions(n, m) == sum(1 for _ in iter_uniform(n, m))
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=30), st.randoms())
@@ -87,3 +88,7 @@ def test_estimate_result_invariant():
     EstimateResult(point=0.5, ci_low=0.4, ci_high=0.6, trials=10, seed=1)
     with pytest.raises(ValueError):
         EstimateResult(point=0.3, ci_low=0.4, ci_high=0.6, trials=10, seed=1)
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in compevo.__all__ if not hasattr(compevo, name)] == []

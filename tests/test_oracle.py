@@ -8,7 +8,7 @@ import pytest
 
 from compevo import theory
 from compevo.core import GuardExceeded, UnsupportedProperty
-from compevo.oracle import (DEFAULT_WIDTH, GEOMETRIC_FORMS, enumerate_uniform,
+from compevo.oracle import (DEFAULT_WIDTH, GEOMETRIC_FORMS,
                             exact_prob_geometric_consecutive, exact_prob_uniform,
                             iter_uniform, negbin_log_pmf, window_prob_geometric)
 from compevo.patterns import parse_pattern
@@ -31,7 +31,7 @@ def test_enumeration_counts_and_order():
 
 def test_enumeration_guard():
     with pytest.raises(GuardExceeded):
-        enumerate_uniform(30, 30)
+        exact_prob_uniform(30, 30, lambda c: True)
 
 
 def test_exact_prob_uniform_examples():

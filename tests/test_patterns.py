@@ -1,14 +1,15 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from compevo.core import BlockStructure, PatternKind, PatternSpec, UnsupportedProperty
-from compevo.patterns import (PatternSyntaxError, match, match_consecutive,
-                              match_nonconsecutive, match_vincular, parse_pattern)
+from compevo import patterns
+from compevo.patterns import PatternSyntaxError, match, parse_pattern
 from compevo.oracle import iter_uniform
-from conftest import naive_match_count
+from conftest import naive_match_count, naive_placements
 
 compositions = st.lists(st.integers(0, 4), min_size=1, max_size=12)
 
@@ -76,14 +77,14 @@ def test_zero_pattern_windows():
 
 def test_vincular_examples():
     spec = parse_pattern("e:[1,2],3")
-    assert match_vincular([1, 2, 9, 3], spec).exists
-    assert match_vincular([1, 2, 3], spec).exists          # gap 0 allowed
-    assert not match_vincular([1, 2, 3], spec, strict=True).exists
-    assert match_vincular([1, 2, 9, 3], spec, strict=True).exists
+    assert match([1, 2, 9, 3], spec).exists
+    assert match([1, 2, 3], spec).exists          # gap 0 allowed
+    assert not match([1, 2, 3], spec, strict=True).exists
+    assert match([1, 2, 9, 3], spec, strict=True).exists
 
 
 def test_adjacent_singletons():
-    report = match_vincular([0, 0], parse_pattern("e:0,0"))
+    report = match([0, 0], parse_pattern("e:0,0"))
     assert report.exists and report.count == 1
 
 
@@ -94,14 +95,14 @@ def test_strict_only_affects_vincular():
 
 def test_vincular_positions():
     spec = parse_pattern("e:[1,2],0")
-    report = match_vincular([1, 2, 0, 0], spec, with_positions=True)
+    report = match([1, 2, 0, 0], spec, with_positions=True)
     assert report.count == 2
     assert report.positions == ((1, 3), (1, 4))
 
 
 def test_vincular_rejects_mixed_ordering():
     with pytest.raises(UnsupportedProperty):
-        match_vincular([1, 2, 3], parse_pattern("o:[0,1],0"))
+        match([1, 2, 3], parse_pattern("o:[0,1],0"))
 
 
 # -- nonconsecutive ----------------------------------------------------------
@@ -114,8 +115,8 @@ def test_nonconsecutive_examples():
 
 def test_ordering_length_cap():
     with pytest.raises(UnsupportedProperty):
-        match_nonconsecutive([0] * 10, PatternSpec(PatternKind.ORDERING,
-                                                   tuple((0,) for _ in range(9))))
+        match([0] * 10, PatternSpec(PatternKind.ORDERING,
+                                    tuple((0,) for _ in range(9))))
 
 
 def test_triple_equal_terms_pattern():
@@ -145,17 +146,44 @@ def test_matchers_agree_with_brute_force_exhaustive():
 
 def test_consistency_between_matchers():
     rng = random.Random(7)
-    cons = parse_pattern("e:[2,0]")
-    single_block_as_vinc = PatternSpec(cons.kind, cons.blocks)
+    specs = [parse_pattern("e:[2,0]"), parse_pattern("e:2,0"), parse_pattern("e:[2],0,[0,1]")]
     for _ in range(200):
         terms = [rng.randint(0, 3) for _ in range(rng.randint(1, 10))]
-        # one block: vincular route equals the consecutive matcher
-        assert (match_vincular(terms, single_block_as_vinc).count
-                == match_consecutive(terms, cons).count)
-        # all singletons: vincular with gap >= 0 equals nonconsecutive
-        spec = parse_pattern("e:2,0")
-        assert (match_vincular(terms, spec).count
-                == match_nonconsecutive(terms, spec).count)
+        for spec in specs:
+            for strict in (False, True):
+                got = match(terms, spec, strict=strict, with_positions=True)
+                want = naive_placements(terms, spec, strict)
+                assert got.count == len(want)
+                assert got.positions == tuple(want)
+
+
+def test_positions_are_the_brute_force_placements():
+    specs = [parse_pattern(t) for t in SPEC_TEXTS]
+    for n in range(1, 6):
+        for m in range(0, 6):
+            for terms in iter_uniform(n, m):
+                for spec in specs:
+                    for strict in (False, True):
+                        got = match(terms, spec, strict=strict, with_positions=True)
+                        if spec.kind is PatternKind.ORDERING and len(spec.blocks) > 1:
+                            assert got.positions is None
+                        else:
+                            assert got.positions == tuple(naive_placements(terms, spec, strict))
+
+
+def test_count_is_exact_beyond_int64():
+    count = match([0] * 1000, parse_pattern("e:0,0,0,0,0,0,0,0")).count
+    assert count == math.comb(1000, 8) and count > 2 ** 63
+
+
+def test_positions_stop_at_the_cap_while_the_count_stays_exact(monkeypatch):
+    monkeypatch.setattr(patterns, "POSITION_CAP", 3)
+    for text, terms, count in [("e:[0]", [0] * 10, 10), ("e:0,[0,0]", [0] * 10, 36)]:
+        report = match(terms, parse_pattern(text), with_positions=True)
+        assert report.count == count
+        assert len(report.positions) == 3
+    report = match([0] * 10, parse_pattern("e:0,[0,0]"), with_positions=True)
+    assert report.positions == ((1, 2), (1, 3), (1, 4))
 
 
 @given(compositions, st.integers(0, 10))
@@ -193,5 +221,5 @@ def test_ordering_counts_all_windows():
     total = 0
     for perm in itertools.permutations(range(3)):
         spec = PatternSpec(PatternKind.ORDERING, (perm,))
-        total += match_consecutive(terms, spec).count
+        total += match(terms, spec).count
     assert total == len(terms) - 2
