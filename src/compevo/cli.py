@@ -18,8 +18,9 @@ import sys
 
 import numpy as np
 
-from . import analysis, experiment, oracle, render, theory
-from .core import Composition, GuardExceeded, UnsupportedProperty, count_compositions
+from . import analysis, oracle, render, theory
+from .core import (ChunkError, Composition, GuardExceeded, UnsupportedProperty,
+                   count_compositions)
 from .patterns import PatternSyntaxError, match, parse_pattern
 from .properties import Property
 from .rng import RngStream
@@ -208,6 +209,7 @@ def cmd_theory(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
+    from . import experiment  # scipy, through stats: only sweeps need it
     with open(args.config) as fh:
         doc = json.load(fh)
     if args.workers is not None:
@@ -343,7 +345,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             else:
                 raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args, out)
-    except (GuardExceeded, UnsupportedProperty, experiment.ChunkError) as exc:
+    except (GuardExceeded, UnsupportedProperty, ChunkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UsageError, PatternSyntaxError, ValueError) as exc:

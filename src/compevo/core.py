@@ -20,6 +20,10 @@ class GuardExceeded(RuntimeError):
     """An operation was refused because it would exceed a configured size guard."""
 
 
+class ChunkError(RuntimeError):
+    """A sweep chunk failed; the message names its grid point and chunk index."""
+
+
 class UnsupportedProperty(ValueError):
     """The requested property cannot be handled by this operation."""
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .core import EstimateResult, UnsupportedProperty
+from .core import ChunkError, EstimateResult, UnsupportedProperty
 from .properties import Property
 from .rng import RngStream
 from .samplers import geometric_terms, uniform_bars_batch
@@ -211,10 +211,6 @@ def _chunk_successes(point: GridPoint, prop: Property, seed: int,
     else:
         samples = uniform_bars_batch(point.n, point.m, count, stream)
     return int(prop.holds_batch(samples).sum())
-
-
-class ChunkError(RuntimeError):
-    """A chunk failed; the message names its grid point and chunk index."""
 
 
 def _run_task(task) -> tuple[int, int, float]:

@@ -6,18 +6,20 @@ Two routes:
   rationals (#satisfying / binom(m+n-1, m));
 * geometric model: the transition matrix of a small automaton that
   recognizes the property from the term sequence, raised to the n-th power
-  by repeated squaring, O(S^3 log n) for S automaton states.  Term values
-  are truncated at a cap V; the result is a certified interval [lo, hi] whose
-  width is at most n * p**(V+1), the union bound on any term exceeding V
-  (``any_square`` caps the square side instead, see _square_exists_lo).
-  Properties whose automaton only needs finitely many value classes (exact,
-  upper and lower consecutive patterns, value-specific squares, component and
-  gap run lengths) come out exact, with lo == hi.  Exact means exact up to
-  float64 rounding, which the interval does not cover: at n = 2*10^4 it
-  measured at most 2.6e-13 against the same matrices powered in 40-digit
-  arithmetic (9 forms, 5 values of p each).  It grows about linearly in n:
-  the criterion-6 forms at p or q = n^(-1/2) were off by up to 2e-9 at
-  n = 10^8 and 2.3e-8 at n = 10^9.
+  by repeated squaring, O(S^3 log n) for S automaton states.  The automaton
+  reads each term through its value class, an interval [a, b) between
+  sorted cut points with mass p**a - p**b (p**a for the last, [a, inf)).
+  Patterns, run lengths and the largest term need finitely many classes and
+  come out exact, with lo == hi.  Value-tracking automata give each value
+  up to a cap V a class and lump the rest; the result is a certified
+  interval [lo, hi] whose width is at most n * p**(V+1), the union bound on
+  any term exceeding V (``any_square`` caps the square side instead, see
+  _square_exists_lo).  Only ``tmin_ge`` is a closed form, p**(r*n).  Exact
+  means exact up to float64 rounding, which the interval does not cover:
+  at n = 2*10^4 it measured at most 3.3e-13 against the same matrices
+  powered in 40-digit arithmetic (12 forms, p = 0.05 to 0.95).  It grows
+  about linearly in n: the criterion-6 forms at p or q = n^(-1/2) were off
+  by up to 2e-9 at n = 10^8 and 2.3e-8 at n = 10^9.
 
 The automata here are built by the active-prefix-set construction, not from
 the product formulas of the theory module, so agreement between the two is a
@@ -27,9 +29,10 @@ real cross-check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +51,7 @@ DEAD = "DEAD"
 class ExactProbability:
     lo: float
     hi: float
-    method: str  # "enumeration" | "transfer_dp" | "closed_form" | "window_enum"
+    method: str  # "enumeration" | "transfer_dp" | "window_enum" | "closed_form" (tmin_ge)
     rational: Fraction | None = None  # set for enumeration results
 
     def __post_init__(self):
@@ -132,9 +135,7 @@ def _transfer(n: int, classes: list[float], start, step,
     ``start``.  The S reachable states and the two absorbing ones make one
     dense (S+2)x(S+2) transition matrix T, and e_start^T T^n comes from
     binary powering: O(S^3 log n) work, so n = 10^9 costs about 30
-    squarings.  The result is exact up to float64 rounding in the products,
-    measured at most 2.6e-13 at n = 2*10^4 (the module docstring gives
-    larger n).
+    squarings.  The module docstring gives the float64 rounding error.
     """
     states = [FOUND, DEAD, start]  # the absorbing states take rows 0 and 1
     index = {st: i for i, st in enumerate(states)}
@@ -166,56 +167,28 @@ def _transfer(n: int, classes: list[float], start, step,
     return float(total)
 
 
-# ----- consecutive e/u/l pattern existence: exact, value classes collapse ---
-
-def _pattern_classes(spec: PatternSpec, p: float):
-    """Value classes of an e/u pattern with exact geometric probabilities, plus a match table.
-
-    match[class][j] says whether a value of that class matches pattern
-    position j.  The class partition is chosen so membership determines every
-    per-position comparison, making the DP exact.
-    """
-    pat = spec.terms
-    q = 1.0 - p
-    if spec.kind is PatternKind.EXACT:
-        vals = sorted(set(pat))
-        probs = [q * p ** v for v in vals]
-        probs.append(max(1.0 - sum(probs), 0.0))  # any other value
-        match = [[v == r for r in pat] for v in vals]
-        match.append([False] * len(pat))
-        return probs, match
-    # upper: v >= r is decided by the interval between sorted cut points;
-    # lower patterns split at r + 1 instead (_pattern_classes_lower).
-    cuts = sorted(set(pat) | {0})
-    edges = cuts + [None]
-    probs, reps = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        probs.append(p ** a - (p ** b if b is not None else 0.0))
-        reps.append(a)
-    return probs, [[v >= r for r in pat] for v in reps]
+def _weights(cuts: Sequence[int], p: float) -> list[float]:
+    """Masses of the value classes [a, b) between the sorted ``cuts``:
+    P(a <= X < b) = p**a - p**b, and p**a for the last class [a, inf)."""
+    return [p ** a - p ** b for a, b in zip(cuts, cuts[1:])] + [p ** cuts[-1]]
 
 
-def _pattern_classes_lower(spec: PatternSpec, p: float):
-    pat = spec.terms
-    cuts = sorted({r + 1 for r in pat} | {0})
-    edges = cuts + [None]
-    probs, match = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        probs.append(p ** a - (p ** b if b is not None else 0.0))
-        # every v in [a, b) satisfies v <= r iff b <= r + 1; the interval
-        # endpoints are cut points, so the test is well defined
-        match.append([b is not None and b <= r + 1 for r in pat])
-    return probs, match
+# ----- consecutive e/u/l pattern existence: exact ---------------------------
+
+# pattern kind -> whether term v matches pattern term r
+_COMPARE = {PatternKind.EXACT: operator.eq, PatternKind.UPPER: operator.ge,
+            PatternKind.LOWER: operator.le}
 
 
 def _prefix_set_prob(n: int, p: float, spec: PatternSpec) -> float:
-    """P(the consecutive e/u/l pattern occurs in C(n, p)); exact."""
-    if spec.kind is PatternKind.LOWER:
-        probs, match = _pattern_classes_lower(spec, p)
-    else:
-        probs, match = _pattern_classes(spec, p)
-    k = spec.length
-    start = frozenset([0])
+    """P(the consecutive e/u/l pattern occurs in C(n, p)); exact.
+
+    Cut at 0 and at every term r and r + 1, each term r is a class of its
+    own, so a class's least value decides every comparison with a term.
+    """
+    pat, k = spec.terms, spec.length
+    cuts = sorted({0, *pat, *(r + 1 for r in pat)})
+    match = [[_COMPARE[spec.kind](a, r) for r in pat] for a in cuts]
 
     def step(state, ci):
         row = match[ci]
@@ -225,22 +198,22 @@ def _prefix_set_prob(n: int, p: float, spec: PatternSpec) -> float:
         nxt.add(0)
         return frozenset(nxt)
 
-    return _transfer(n, probs, start, step)
+    return _transfer(n, _weights(cuts, p), frozenset([0]), step)
 
 
 # ----- run-length automata over the zero/nonzero alphabet: exact ------------
-
-def _binary_probs(p: float) -> list[float]:
-    return [1.0 - p, p]  # class 0 = zero term, class 1 = nonzero term
-
+# cuts [0, 1]: class 0 = zero term, class 1 = nonzero term
 
 def _longest_run_ge(n: int, p: float, k: int, run_class: int) -> float:
     """P(k consecutive terms of ``run_class``): 1 for components, 0 for gaps."""
+    if k <= 0:
+        return 1.0  # every composition has a run of length >= 0
+
     def step(state, ci):
         if ci != run_class:
             return 0
         return FOUND if state + 1 >= k else state + 1
-    return _transfer(n, _binary_probs(p), 0, step)
+    return _transfer(n, _weights([0, 1], p), 0, step)
 
 
 def _shortest_run_gt(n: int, p: float, k: int, run_class: int) -> float:
@@ -258,10 +231,11 @@ def _shortest_run_gt(n: int, p: float, k: int, run_class: int) -> float:
         run, seen = state
         return seen and not (0 < run <= k)
 
-    return _transfer(n, _binary_probs(p), (0, False), step, accept)
+    return _transfer(n, _weights([0, 1], p), (0, False), step, accept)
 
 
 # ----- value-tracking automata with truncation ------------------------------
+# cuts range(V + 2): values 0..V are classes of their own, the last lumps > V
 
 def _value_cap(n: int, p: float, width: float) -> int:
     """Smallest V with n * p**(V+1) <= width."""
@@ -273,19 +247,12 @@ def _value_cap(n: int, p: float, width: float) -> int:
     return v
 
 
-def _truncated_classes(p: float, cap: int) -> list[float]:
-    """Values 0..cap each their own class, plus one lumped class for > cap."""
-    q = 1.0 - p
-    return [q * p ** v for v in range(cap + 1)] + [p ** (cap + 1)]
-
-
 BIG = -1  # class index sentinel for the lumped > V values
 
 
 def _equal_run_lo(n: int, p: float, k: int, nonzero_only: bool, width: float):
     """Pessimistic P(a run of k equal terms exists); big values never extend runs."""
     V = _value_cap(n, p, width)
-    probs = _truncated_classes(p, V)
 
     def step(state, ci):
         val = ci if ci <= V else BIG
@@ -300,7 +267,7 @@ def _equal_run_lo(n: int, p: float, k: int, nonzero_only: bool, width: float):
             return FOUND
         return (val, run)
 
-    lo = _transfer(n, probs, (None, 0), step)
+    lo = _transfer(n, _weights(range(V + 2), p), (None, 0), step)
     return lo, min(n * p ** (V + 1), 1.0)
 
 
@@ -320,7 +287,6 @@ def _square_exists_lo(n: int, p: float, width: float):
     W = 0
     while side_tail(W) > width:
         W += 1
-    probs = _truncated_classes(p, W)
 
     def step(state, ci):
         val = ci if ci <= W else BIG
@@ -332,7 +298,7 @@ def _square_exists_lo(n: int, p: float, width: float):
             return FOUND
         return (val, run)
 
-    lo = _transfer(n, probs, (BIG, 0), step)
+    lo = _transfer(n, _weights(range(W + 2), p), (BIG, 0), step)
     return lo, min(side_tail(W), 1.0)
 
 
@@ -350,7 +316,7 @@ def _pattern_prob(n: int, p: float, spec: PatternSpec) -> ExactProbability:
         raise UnsupportedProperty("ordering existence needs unbounded value tracking; "
                                   "use window_prob_geometric for per-position values")
     if spec.length > n:
-        return ExactProbability(0.0, 0.0, "transfer_dp")
+        return _exact(0.0)
     return _exact(_prefix_set_prob(n, p, spec))
 
 
@@ -371,15 +337,13 @@ GEOMETRIC_FORMS: dict[str, Callable[[int, float, dict, float], ExactProbability]
     "gmax_ge": lambda n, p, params, width: _exact(_longest_run_ge(n, p, params["k"], 0)),
     "cmin_gt": lambda n, p, params, width: _exact(_shortest_run_gt(n, p, params["k"], 1)),
     "gmin_gt": lambda n, p, params, width: _exact(_shortest_run_gt(n, p, params["k"], 0)),
-    # tmax >= r always holds for r <= 0, where log1p(-p**r) is undefined
-    "tmax_ge": lambda n, p, params, width: _exact(
-        1.0 if params["r"] <= 0
-        else 1.0 - math.exp(n * math.log1p(-p ** params["r"])) if p > 0 else 0.0,
-        "closed_form"),
+    # tmax >= r is the one-term upper pattern [r]; [0] for r <= 0 matches every term
+    "tmax_ge": lambda n, p, params, width: _pattern_prob(
+        n, p, PatternSpec(PatternKind.UPPER, ((max(params["r"], 0),),))),
     "tmin_ge": lambda n, p, params, width: _exact(p ** (params["r"] * n), "closed_form"),
     "equal_run": lambda n, p, params, width: _interval(
         *_equal_run_lo(n, p, params["k"], params.get("nonzero", True), width)),
-    # a k-square is a run of k terms equal to k: exact via a 2-value class
+    # a k-square is a run of k terms equal to k: the exact pattern k^k
     "square": lambda n, p, params, width: _pattern_prob(
         n, p, PatternSpec(PatternKind.EXACT, ((params["k"],) * params["k"],))),
     "any_square": lambda n, p, params, width: _interval(*_square_exists_lo(n, p, width)),
@@ -396,6 +360,8 @@ def exact_prob_geometric_consecutive(n: int, p: float, statistic,
     ``GEOMETRIC_FORMS``: cmax_ge/gmax_ge/cmin_gt/gmin_gt {k}, tmax_ge/tmin_ge
     {r}, equal_run {k, nonzero}, square {k}, any_square {}, carlitz {}.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if not (0.0 <= p < 1.0):
         raise ValueError("need 0 <= p < 1")
     if isinstance(statistic, PatternSpec):
@@ -430,12 +396,8 @@ def window_prob_geometric(spec: PatternSpec, p: float,
     grids = np.indices((V + 1,) * k, dtype=np.int32).reshape(k, -1)
     logw = math.log(q) * k + math.log(p) * grids.sum(axis=0, dtype=np.float64)
     pat = np.asarray(spec.terms, dtype=np.int64)[:, None]
-    if spec.kind is PatternKind.EXACT:
-        ok = (grids == pat).all(axis=0)
-    elif spec.kind is PatternKind.UPPER:
-        ok = (grids >= pat).all(axis=0)
-    elif spec.kind is PatternKind.LOWER:
-        ok = (grids <= pat).all(axis=0)
+    if spec.kind is not PatternKind.ORDERING:
+        ok = _COMPARE[spec.kind](grids, pat).all(axis=0)
     else:
         # ordering: every pairwise comparison must agree with the pattern
         ok = np.ones(grids.shape[1], dtype=bool)

@@ -107,14 +107,6 @@ def prob_exact_consecutive_at_position(spec: PatternSpec, p: float) -> TheoryPre
                                      "argmax_p": s / (s + k) if s + k else 0.0})
 
 
-def expected_exact_consecutive_count(spec: PatternSpec, n: int, p: float) -> TheoryPrediction:
-    """(n+1-k) * q**k * p**s, the expected number of occurrences."""
-    per = prob_exact_consecutive_at_position(spec, p)
-    k = spec.length
-    return TheoryPrediction(max(n + 1 - k, 0) * per.value, "expectation",
-                            details=per.details)
-
-
 def prob_exact_consecutive_at_position_uniform(n: int, m: int, spec: PatternSpec) -> TheoryPrediction:
     """P(exact consecutive pattern at an interior position) under the uniform model.
 

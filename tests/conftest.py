@@ -16,6 +16,8 @@ CHART_B = [2, 0, 2, 0, 3, 1, 0, 2, 0, 2, 0, 3, 1, 0, 2, 0, 3, 1, 0, 2,
 PROPERTIES = [
     Property("cmax_ge", {"k": 1}), Property("cmax_ge", {"k": 3}),
     Property("gmax_ge", {"k": 2}),
+    # k = 0 holds on every composition
+    Property("cmax_ge", {"k": 0}), Property("gmax_ge", {"k": 0}),
     Property("cmin_gt", {"k": 1}), Property("gmin_gt", {"k": 2}),
     Property("tmax_ge", {"r": 2}), Property("tmax_ge", {"r": 0}),
     Property("tmin_ge", {"r": 1}),

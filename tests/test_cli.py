@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import compevo
 from compevo.cli import main, parse_composition
 
 
@@ -10,6 +15,19 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+# -- imports -----------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy takes about a second to import and only `sweep` needs it
+    # (experiment -> stats); a fresh interpreter shows what the import pulls in
+    src = str(Path(compevo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, compevo.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # -- composition parsing -----------------------------------------------------
@@ -206,6 +224,11 @@ def test_oracle_any_square():
     code, _ = run_cli("oracle", "geometric", "n=100", "p=0.5",
                       "--statistic", "any_square", "min_k=2")
     assert code == 2
+
+
+def test_oracle_geometric_needs_a_term():
+    code, _ = run_cli("oracle", "geometric", "n=0", "p=0.5", "--statistic", "cmax_ge", "k=2")
+    assert code == 1
 
 
 def test_oracle_unsupported_exit_code():

@@ -92,7 +92,9 @@ def test_every_geometric_oracle_brackets_brute_force():
             assert res.width <= DEFAULT_WIDTH + 1e-12, (prop, n, p, res)
 
 
-@pytest.mark.parametrize("text", ["e:[0,0]", "e:[1,1]", "u:[2,1]", "l:[0,1]", "e:[2,0,2]"])
+@pytest.mark.parametrize("text", ["e:[0,0]", "e:[1,1]", "u:[2,1]", "l:[0,1]", "e:[2,0,2]",
+                                  # a zero term, repeated cuts, one class that always matches
+                                  "u:[0,2]", "l:[3,0]", "e:[0]", "u:[0]", "l:[1,1,0]"])
 def test_pattern_dp_against_brute_force(text):
     spec = parse_pattern(text)
     for n, p in [(4, 0.5), (3, 0.3)]:
@@ -100,6 +102,14 @@ def test_pattern_dp_against_brute_force(text):
         ref = _brute_geometric(n, p, Property("contains", spec=spec), V=30)
         assert res.lo == pytest.approx(ref, abs=1e-7)
         assert res.width == 0.0
+
+
+def test_geometric_oracle_needs_a_term():
+    # n = 0 is no composition of the model; n = -1 would never leave the
+    # binary powering loop, since -1 >> 1 == -1
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            exact_prob_geometric_consecutive(n, 0.5, ("cmax_ge", {"k": 2}))
 
 
 def test_zero_pattern_is_exact_product():
@@ -135,9 +145,16 @@ def test_interval_width_shrinks_with_cap():
 
 
 def test_closed_forms_match_dp():
-    # tmax / tmin via the oracle equal the theory module formulas
+    # tmax via the oracle's automaton (the pattern u:[r]) and tmin via its
+    # closed form equal the theory module formulas
     res = exact_prob_geometric_consecutive(10, 0.4, ("tmax_ge", {"r": 2}))
     assert res.lo == pytest.approx(1 - theory.prob_tmax_lt(10, 0.4, 2).value)
+    n, p = 2 * 10 ** 4, 0.05
+    res = exact_prob_geometric_consecutive(n, p, ("tmax_ge", {"r": 0}))
+    assert res.width == 0.0 and abs(res.lo - 1.0) <= 1e-12
+    res = exact_prob_geometric_consecutive(n, p, ("tmax_ge", {"r": 3}))
+    assert res.width == 0.0
+    assert abs(res.lo - (1 - theory.prob_tmax_lt(n, p, 3).value)) <= 1e-12
     res = exact_prob_geometric_consecutive(5, 0.7, ("tmin_ge", {"r": 2}))
     assert res.lo == pytest.approx(theory.prob_tmin_ge(5, 0.7, 2).value)
 
