@@ -1,16 +1,20 @@
-"""Deterministic single-composition statistics.
+"""Deterministic single-composition statistics: the scalar reference route.
 
 Components (maximal nonzero runs), gaps (maximal zero runs), equal runs,
 squares, increasing runs, extreme terms, Carlitz and multiplicity checks.
-All statistics are single-pass over the terms.
+Each statistic converts its input once to a list of ints and makes a
+single pass over it in plain Python, with no array set-up per call; every
+run comes from one scanner, ``_runs``.  With ``patterns.match`` this is the
+scalar route, the plain-Python reference that the vectorized ``holds_batch``
+code is checked against, so the two share no code.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import groupby
+from operator import lt
 
 from .core import TermsLike, as_terms
 
@@ -39,41 +43,37 @@ class RunReport:
         return min((r.length for r in self.runs), default=0)
 
 
-def _boolean_runs(mask: np.ndarray) -> list[Run]:
-    """Maximal runs of True in a boolean array, as 1-based (start, length)."""
-    if mask.size == 0:
-        return []
-    padded = np.concatenate(([False], mask, [False]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.nonzero(edges == 1)[0]
-    ends = np.nonzero(edges == -1)[0]
-    return [Run(int(s) + 1, int(e - s)) for s, e in zip(starts, ends)]
+def _runs(values, key=None) -> list[tuple[object, Run]]:
+    """Maximal runs of equal ``key(value)``, in order, as (key, Run) pairs."""
+    out = []
+    start = 1
+    for k, group in groupby(values, key):
+        length = len(list(group))
+        out.append((k, Run(start, length)))
+        start += length
+    return out
+
+
+def _components_and_gaps(terms: list[int]) -> tuple[RunReport, RunReport]:
+    runs = _runs(terms, bool)
+    return (RunReport("component", tuple(r for nonzero, r in runs if nonzero)),
+            RunReport("gap", tuple(r for nonzero, r in runs if not nonzero)))
 
 
 def components(c: TermsLike) -> RunReport:
     """Maximal runs of nonzero terms, in order."""
-    terms = as_terms(c)
-    return RunReport("component", tuple(_boolean_runs(terms > 0)))
+    return _components_and_gaps(as_terms(c).tolist())[0]
 
 
 def gaps(c: TermsLike) -> RunReport:
     """Maximal runs of zero terms, in order."""
-    terms = as_terms(c)
-    return RunReport("gap", tuple(_boolean_runs(terms == 0)))
+    return _components_and_gaps(as_terms(c).tolist())[1]
 
 
 def equal_runs(c: TermsLike, nonzero_only: bool = False) -> RunReport:
     """Maximal runs of equal terms; zero runs excluded when nonzero_only."""
-    terms = as_terms(c)
-    runs: list[Run] = []
-    start = 0
-    n = terms.shape[0]
-    for i in range(1, n + 1):
-        if i == n or terms[i] != terms[start]:
-            if not (nonzero_only and terms[start] == 0):
-                runs.append(Run(start + 1, i - start))
-            start = i
-    return RunReport("equal-run", tuple(runs))
+    runs = _runs(as_terms(c).tolist())
+    return RunReport("equal-run", tuple(r for v, r in runs if not (nonzero_only and v == 0)))
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,24 @@ class Extremes:
     tmin: int  # smallest term
 
 
+def _extremes(terms: list[int], comp: RunReport, gap: RunReport) -> Extremes:
+    return Extremes(cmax=comp.longest, cmin=comp.shortest,
+                    gmax=gap.longest, gmin=gap.shortest,
+                    tmax=max(terms), tmin=min(terms))
+
+
 def extremes(c: TermsLike) -> Extremes:
-    terms = as_terms(c)
-    comp = components(terms)
-    gap = gaps(terms)
-    return Extremes(
-        cmax=comp.longest, cmin=comp.shortest,
-        gmax=gap.longest, gmin=gap.shortest,
-        tmax=int(terms.max()), tmin=int(terms.min()),
-    )
+    terms = as_terms(c).tolist()
+    return _extremes(terms, *_components_and_gaps(terms))
+
+
+def _squares(equal: list[tuple[int, Run]]) -> Counter[int]:
+    """Occurrence counts of v-squares by side v >= 1, read from the equal runs."""
+    counts: Counter[int] = Counter()
+    for v, r in equal:
+        if 1 <= v <= r.length:
+            counts[v] += r.length - v + 1
+    return counts
 
 
 def square_counts(c: TermsLike) -> dict[int, int]:
@@ -104,66 +113,58 @@ def square_counts(c: TermsLike) -> dict[int, int]:
     L - v + 1 v-squares when v <= L.  The trivial 1-squares (any term equal
     to 1) are excluded from the multiset.
     """
-    counts: Counter[int] = Counter()
-    for run in equal_runs(c, nonzero_only=True).runs:
-        v = int(as_terms(c)[run.start - 1])
-        if 2 <= v <= run.length:
-            counts[v] += run.length - v + 1
-    return dict(counts)
+    squares = _squares(_runs(as_terms(c).tolist()))
+    return {v: count for v, count in squares.items() if v >= 2}
 
 
 def largest_square(c: TermsLike) -> int:
     """Largest k such that k consecutive terms all equal k; 0 if none."""
-    terms = as_terms(c)
-    best = 0
-    for run in equal_runs(terms, nonzero_only=True).runs:
-        v = int(terms[run.start - 1])
-        if v <= run.length:
-            best = max(best, v)
-    return best
+    return max(_squares(_runs(as_terms(c).tolist())), default=0)
+
+
+def _longest_increasing_run(terms: list[int]) -> int:
+    # a run of r rising steps between neighbours is r + 1 increasing terms
+    rising = _runs(map(lt, terms, terms[1:]))
+    return 1 + max((r.length for up, r in rising if up), default=0)
 
 
 def longest_increasing_run(c: TermsLike) -> int:
     """Length of the longest strictly increasing run of consecutive terms."""
-    terms = as_terms(c)
-    if terms.shape[0] == 1:
-        return 1
-    rising = terms[1:] > terms[:-1]
-    best = max((r.length for r in _boolean_runs(rising)), default=0)
-    return best + 1
+    return _longest_increasing_run(as_terms(c).tolist())
 
 
 def is_carlitz(c: TermsLike) -> bool:
     """True iff no two adjacent terms are equal."""
-    terms = as_terms(c)
-    return bool(np.all(terms[1:] != terms[:-1]))
+    terms = as_terms(c).tolist()
+    return len(_runs(terms)) == len(terms)
 
 
 def max_multiplicity(c: TermsLike) -> int:
     """Largest number of times any single value occurs among the terms."""
-    terms = as_terms(c)
-    _, counts = np.unique(terms, return_counts=True)
-    return int(counts.max())
+    return max(Counter(as_terms(c).tolist()).values())
 
 
 def stats_report(c: TermsLike) -> dict:
     """All statistics of one composition, as a plain dict (CLI surface)."""
-    terms = as_terms(c)
-    ex = extremes(terms)
+    terms = as_terms(c).tolist()
+    comp, gap = _components_and_gaps(terms)
+    ex = _extremes(terms, comp, gap)
+    equal = _runs(terms)
+    squares = _squares(equal)
     return {
-        "n": int(terms.shape[0]),
-        "size": int(terms.sum()),
-        "components": components(terms).count,
-        "gaps": gaps(terms).count,
+        "n": len(terms),
+        "size": sum(terms),
+        "components": comp.count,
+        "gaps": gap.count,
         "cmax": ex.cmax,
         "cmin": ex.cmin,
         "gmax": ex.gmax,
         "gmin": ex.gmin,
         "tmax": ex.tmax,
         "tmin": ex.tmin,
-        "largest_square": largest_square(terms),
-        "square_counts": {str(k): v for k, v in sorted(square_counts(terms).items())},
-        "longest_increasing_run": longest_increasing_run(terms),
-        "is_carlitz": is_carlitz(terms),
-        "max_multiplicity": max_multiplicity(terms),
+        "largest_square": max(squares, default=0),
+        "square_counts": {str(v): count for v, count in sorted(squares.items()) if v >= 2},
+        "longest_increasing_run": _longest_increasing_run(terms),
+        "is_carlitz": len(equal) == len(terms),
+        "max_multiplicity": max(Counter(terms).values()),
     }

@@ -41,7 +41,10 @@ class Composition:
         if isinstance(terms, Composition):
             self._terms = terms._terms
             return
-        arr = np.asarray(terms, dtype=np.int64)
+        try:
+            arr = np.asarray(terms, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("composition terms must be at most 2**63 - 1") from None
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("a composition needs at least one term")
         if np.any(arr < 0):

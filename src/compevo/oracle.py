@@ -29,16 +29,16 @@ real cross-check.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (GuardExceeded, PatternKind, PatternSpec, UnsupportedProperty,
                    count_compositions)
-from .patterns import match
+from .patterns import COMPARE, match, relation
 
 ENUMERATION_GUARD = 10_000_000
 DEFAULT_WIDTH = 1e-9
@@ -175,11 +175,6 @@ def _weights(cuts: Sequence[int], p: float) -> list[float]:
 
 # ----- consecutive e/u/l pattern existence: exact ---------------------------
 
-# pattern kind -> whether term v matches pattern term r
-_COMPARE = {PatternKind.EXACT: operator.eq, PatternKind.UPPER: operator.ge,
-            PatternKind.LOWER: operator.le}
-
-
 def _prefix_set_prob(n: int, p: float, spec: PatternSpec) -> float:
     """P(the consecutive e/u/l pattern occurs in C(n, p)); exact.
 
@@ -188,7 +183,7 @@ def _prefix_set_prob(n: int, p: float, spec: PatternSpec) -> float:
     """
     pat, k = spec.terms, spec.length
     cuts = sorted({0, *pat, *(r + 1 for r in pat)})
-    match = [[_COMPARE[spec.kind](a, r) for r in pat] for a in cuts]
+    match = [[COMPARE[spec.kind](a, r) for r in pat] for a in cuts]
 
     def step(state, ci):
         row = match[ci]
@@ -395,16 +390,15 @@ def window_prob_geometric(spec: PatternSpec, p: float,
     # vectorized over the full grid of value tuples
     grids = np.indices((V + 1,) * k, dtype=np.int32).reshape(k, -1)
     logw = math.log(q) * k + math.log(p) * grids.sum(axis=0, dtype=np.float64)
-    pat = np.asarray(spec.terms, dtype=np.int64)[:, None]
-    if spec.kind is not PatternKind.ORDERING:
-        ok = _COMPARE[spec.kind](grids, pat).all(axis=0)
+    pat = spec.terms
+    ok = np.ones(grids.shape[1], dtype=bool)
+    if spec.kind is PatternKind.ORDERING:
+        # every pair of terms must be ordered as the pattern orders them
+        for i, j in combinations(range(k), 2):
+            ok &= relation(pat[i], pat[j])(grids[i], grids[j])
     else:
-        # ordering: every pairwise comparison must agree with the pattern
-        ok = np.ones(grids.shape[1], dtype=bool)
-        for i in range(k):
-            for j in range(i + 1, k):
-                want = np.sign(pat[i, 0] - pat[j, 0])
-                ok &= np.sign(grids[i] - grids[j]) == want
+        for values, r in zip(grids, pat):
+            ok &= COMPARE[spec.kind](values, r)
     lo = float(np.exp(logw[ok]).sum())
     tail = min(k * p ** (V + 1), 1.0)
     return ExactProbability(min(lo, 1.0), min(lo + tail, 1.0), "window_enum")

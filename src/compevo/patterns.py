@@ -13,7 +13,8 @@ term is a singleton block.  One block => consecutive pattern, all singleton
 blocks => nonconsecutive, mixed => vincular.
 
 Matching kinds: exact (term == r), upper (term >= r), lower (term <= r),
-ordering (relative order of the window, equalities included).
+ordering (relative order of the window, equalities included).  ``COMPARE``
+and ``relation`` define these rules once; the oracle reads them too.
 
 Vincular semantics: blocks must occur in order on disjoint index ranges.  By
 default a gap of zero intervening positions between consecutive blocks is
@@ -21,22 +22,24 @@ allowed; ``strict=True`` requires at least one free position between blocks.
 ``strict`` only affects mixed (vincular) structures: fully nonconsecutive
 patterns carry no adjacency constraint at all.
 
-``match`` is the one matcher.  Exact/upper/lower patterns and consecutive
-ordering patterns take one path: a mask per block over the n start positions,
-then an exact-integer DP over increasing anchor tuples (one block: the mask's
-sum).  An occurrence is the tuple of its 1-based block starts; ``positions``
-lists the first POSITION_CAP of them.  Nonconsecutive ordering patterns (at
-most ORDERING_MAX_LENGTH terms) are counted by a depth-first search capped at
+``match`` is the one matcher, and with ``analysis`` it is the scalar route:
+plain Python over the terms as a list of ints, the reference that the
+vectorized ``holds_batch`` code is checked against.  Exact/upper/lower
+patterns and consecutive ordering patterns take one path: a mask per block
+over the start positions where it fits, then an exact-integer DP over
+increasing anchor tuples (one block: the mask's sum).  An occurrence is the
+tuple of its 1-based block starts; ``positions`` lists the first
+POSITION_CAP of them.  Nonconsecutive ordering patterns (at most
+ORDERING_MAX_LENGTH terms) are counted by a depth-first search capped at
 NODE_CAP nodes; ordering patterns with mixed blocks are not supported.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-
-import numpy as np
 
 from .core import (BlockStructure, PatternKind, PatternSpec, TermsLike,
                    UnsupportedProperty, as_terms)
@@ -136,47 +139,45 @@ class MatchReport:
     truncated: bool = False
 
 
-_COMPARE = {PatternKind.EXACT: np.equal, PatternKind.UPPER: np.greater_equal,
-            PatternKind.LOWER: np.less_equal}
+# pattern kind -> the test a term v must pass against its pattern term r: COMPARE[kind](v, r)
+COMPARE = {PatternKind.EXACT: operator.eq, PatternKind.UPPER: operator.ge,
+           PatternKind.LOWER: operator.le}
 
 
-def _block_mask(terms: np.ndarray, kind: PatternKind, block: tuple[int, ...]) -> np.ndarray:
-    """Boolean array over the n start positions: True where the block's window matches."""
+def relation(a: int, b: int):
+    """The ordering rule: where an ordering pattern has terms a then b, the
+    matched terms x then y must satisfy ``relation(a, b)(x, y)``."""
+    return operator.lt if a < b else operator.gt if a > b else operator.eq
+
+
+def _block_mask(terms: list[int], kind: PatternKind, block: tuple[int, ...]) -> list[bool]:
+    """One bool per start position whose window fits: True where the block matches."""
     k = len(block)
-    full = np.zeros(terms.shape[0], dtype=bool)
-    if k > terms.shape[0]:
-        return full
-    windows = np.lib.stride_tricks.sliding_window_view(terms, k)
+    windows = [terms[s:s + k] for s in range(len(terms) - k + 1)]
     if kind is PatternKind.ORDERING:
         # the window must order every pair of terms as the block does, ties included
-        mask = np.ones(windows.shape[0], dtype=bool)
-        for i, j in combinations(range(k), 2):
-            a, b = windows[:, i], windows[:, j]
-            mask &= a < b if block[i] < block[j] else a > b if block[i] > block[j] else a == b
-    else:
-        mask = _COMPARE[kind](windows, np.asarray(block, dtype=np.int64)).all(axis=1)
-    full[: mask.shape[0]] = mask
-    return full
+        rules = [(i, j, relation(block[i], block[j])) for i, j in combinations(range(k), 2)]
+        return [all(rule(w[i], w[j]) for i, j, rule in rules) for w in windows]
+    compare = COMPARE[kind]
+    return [all(map(compare, w, block)) for w in windows]
 
 
-def _count_anchor_tuples(masks: list[np.ndarray], shifts: list[int]) -> int:
+def _count_anchor_tuples(masks: list[list[bool]], shifts: list[int]) -> int:
     """Exact-integer count of anchor tuples; block b + 1 starts >= shifts[b] after block b."""
-    if len(masks) == 1:
-        return int(np.count_nonzero(masks[0]))
     # ways[i] = number of ways to place blocks 0..b with block b anchored at i
-    ways = masks[0].tolist()
+    ways = masks[0]
     for mask, shift in zip(masks[1:], shifts):
         cum = list(accumulate(ways, initial=0))
         # anchors of the previous block must be <= i - shift
         ways = [cum[i - shift + 1] if hit and i >= shift else 0
-                for i, hit in enumerate(mask.tolist())]
+                for i, hit in enumerate(mask)]
     return sum(ways)
 
 
-def _list_anchor_tuples(masks: list[np.ndarray],
+def _list_anchor_tuples(masks: list[list[bool]],
                         shifts: list[int]) -> list[tuple[int, ...]]:
     """The first POSITION_CAP anchor tuples, 1-based, in lexicographic order."""
-    anchors = [np.flatnonzero(m).tolist() for m in masks]
+    anchors = [[i for i, hit in enumerate(m) if hit] for m in masks]
     found: list[tuple[int, ...]] = []
 
     def rec(b: int, lo: int, prefix: tuple[int, ...]) -> bool:
@@ -195,23 +196,16 @@ def _list_anchor_tuples(masks: list[np.ndarray],
     return found
 
 
-def _ordering_subsequence_dfs(terms: np.ndarray, pattern: tuple[int, ...]):
+def _ordering_subsequence_dfs(terms: list[int], pattern: tuple[int, ...]):
     """(count, truncated) of index tuples ordered like ``pattern``; DFS up to NODE_CAP nodes."""
-    n, k = terms.shape[0], len(pattern)
+    n, k = len(terms), len(pattern)
     visited = count = 0
     chosen: list[int] = []
+    rule = [[relation(a, b) for b in pattern] for a in pattern]
 
     def consistent(idx: int, t: int) -> bool:
         v = terms[idx]
-        for s, prev in enumerate(chosen):
-            w = terms[prev]
-            if pattern[s] < pattern[t] and not w < v:
-                return False
-            if pattern[s] > pattern[t] and not w > v:
-                return False
-            if pattern[s] == pattern[t] and w != v:
-                return False
-        return True
+        return all(rule[s][t](terms[prev], v) for s, prev in enumerate(chosen))
 
     def rec(t: int, lo: int) -> bool:
         nonlocal visited, count
@@ -240,7 +234,7 @@ def match(c: TermsLike, spec: PatternSpec, strict: bool = False,
     ``strict`` requires a gap of at least one position between consecutive
     blocks of a vincular pattern; the default allows adjacent blocks.
     """
-    terms = as_terms(c)
+    terms = as_terms(c).tolist()
     structure = spec.structure
     if spec.kind is PatternKind.ORDERING and structure is not BlockStructure.CONSECUTIVE:
         if structure is BlockStructure.VINCULAR:

@@ -206,7 +206,7 @@ def _equal_terms_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
 def _square_holds(prop: Property, c) -> bool:
     k = prop.params["k"]
     if k == 1:  # square_counts leaves out the trivial 1-squares
-        return bool(np.any(as_terms(c) == 1))
+        return 1 in as_terms(c).tolist()
     return analysis.square_counts(c).get(k, 0) > 0
 
 
@@ -356,10 +356,11 @@ def _anchor_mask(samples: np.ndarray, kind: PatternKind,
     w = samples.shape[1] - k + 1
     acc = np.ones((samples.shape[0], w), dtype=bool)
     if kind is PatternKind.ORDERING:
+        # compare the terms directly: a difference would wrap for unsigned dtypes
         for a in range(k):
             for b in range(a + 1, k):
-                want = np.sign(block[b] - block[a])
-                acc &= np.sign(samples[:, b : b + w] - samples[:, a : a + w]) == want
+                x, y = samples[:, a : a + w], samples[:, b : b + w]
+                acc &= x < y if block[a] < block[b] else x > y if block[a] > block[b] else x == y
     else:
         for j, r in enumerate(block):
             col = samples[:, j : j + w]

@@ -302,6 +302,8 @@ def threshold_location(statistic_id: str, params: dict, n: int) -> TheoryPredict
 
 def square_threshold(n: int, c: float = 0.0) -> TheoryPrediction:
     """Largest-square heuristic: side k*(n) and the size scale m* ~ n log n / log log n."""
+    if n < 3:  # the formulas divide by log log n, which is positive only from n = 3
+        raise ValueError("need n >= 3")
     ln = log(n)
     lln = log(ln)
     llln = log(lln) if lln > 1 else 0.0

@@ -111,6 +111,11 @@ def test_stats_all_zero():
     assert code == 0 and doc["size"] == 0 and doc["components"] == 0
 
 
+def test_stats_term_beyond_int64_is_one_error_line(capsys):
+    assert run_cli("stats", "99999999999999999999,1")[0] == 1
+    assert capsys.readouterr().err == "error: composition terms must be at most 2**63 - 1\n"
+
+
 # -- match -------------------------------------------------------------------
 
 def test_match_count():
@@ -125,6 +130,14 @@ def test_match_positions_and_strict():
     assert code == 0 and doc["positions"] == [[1, 3], [1, 4]]
     code, out = run_cli("match", "1,2,0", "e:[1,2],0", "--strict")
     assert code == 0 and not json.loads(out)["exists"]
+
+
+def test_pattern_term_beyond_int64_matches_nothing():
+    code, out = run_cli("match", "1,2,3", "e:[99999999999999999999]")
+    assert code == 0 and json.loads(out)["count"] == 0
+    code, out = run_cli("oracle", "uniform", "n=3", "m=2",
+                        "--pattern", "e:[99999999999999999999]")
+    assert code == 0 and json.loads(out)["rational"] == "0"
 
 
 def test_match_pattern_error_exit_code():

@@ -22,6 +22,8 @@ def test_composition_validation():
         Composition([])
     with pytest.raises(ValueError):
         Composition([1, -1])
+    with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+        Composition([99999999999999999999, 1])
     c = Composition([1, 2])
     with pytest.raises(ValueError):
         c.terms[0] = 5

@@ -278,6 +278,11 @@ def test_window_enumeration_matches_formulas():
         assert res.lo - 1e-9 <= want <= res.hi + 1e-9
 
 
+def test_window_pattern_term_beyond_int64():
+    spec = parse_pattern("e:[99999999999999999999]")
+    assert window_prob_geometric(spec, 0.5).lo == 0.0
+
+
 def test_conditional_identity_with_negative_binomial():
     # summing geometric weights over the size-m slice and dividing by the
     # size pmf recovers the uniform probability, for any p

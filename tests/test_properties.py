@@ -55,17 +55,21 @@ def test_batch_route_agrees_with_scalar_route(samples):
         _assert_routes_agree(prop, samples)
 
 
-@pytest.mark.parametrize("rows", [
+EDGE_SHAPES = [
     [[0]], [[1]], [[2]], [[5]],                      # n = 1
     [[0, 0, 0, 0, 0, 0]],                            # all zeros
     [[2 ** 40, 1, 0, 2 ** 40 + 1, 2]],               # large terms
     # e:1,[0,2] with the blocks adjacent, with a gap, and in the wrong order
     [[1, 0, 2, 0, 0, 1], [1, 2, 2, 0, 0, 2], [0, 2, 1, 0, 0, 1]],
-])
+]
+
+
+@pytest.mark.parametrize("rows", [np.array(r, dtype=np.int64) for r in EDGE_SHAPES] + [
+    # unsigned copies of the rows whose terms fit: a difference of two terms wraps
+    np.array(r, dtype=np.uint16) for r in EDGE_SHAPES if max(map(max, r)) < 2 ** 16])
 def test_routes_agree_on_edge_shapes(rows):
-    samples = np.array(rows, dtype=np.int64)
     for prop in PROPERTIES:
-        _assert_routes_agree(prop, samples)
+        _assert_routes_agree(prop, rows)
 
 
 def test_mixed_block_ordering_is_unsupported_on_both_routes():

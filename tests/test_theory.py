@@ -217,3 +217,10 @@ def test_square_heuristic_monotone():
     out = theory.square_regime_evaluator(10 ** 6, theta=1.0, c=0.5)
     assert set(out) == {"q", "k", "log_mean_count", "log_second_moment_ratio"}
     assert 0 < out["q"] < 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_square_threshold_needs_log_log_n_positive(n):
+    # n = 1 died in log(0) and n = 2 answered a negative side
+    with pytest.raises(ValueError, match="need n >= 3"):
+        theory.square_threshold(n)
