@@ -62,17 +62,17 @@ def _components_and_gaps(terms: list[int]) -> tuple[RunReport, RunReport]:
 
 def components(c: TermsLike) -> RunReport:
     """Maximal runs of nonzero terms, in order."""
-    return _components_and_gaps(as_terms(c).tolist())[0]
+    return _components_and_gaps(as_terms(c))[0]
 
 
 def gaps(c: TermsLike) -> RunReport:
     """Maximal runs of zero terms, in order."""
-    return _components_and_gaps(as_terms(c).tolist())[1]
+    return _components_and_gaps(as_terms(c))[1]
 
 
 def equal_runs(c: TermsLike, nonzero_only: bool = False) -> RunReport:
     """Maximal runs of equal terms; zero runs excluded when nonzero_only."""
-    runs = _runs(as_terms(c).tolist())
+    runs = _runs(as_terms(c))
     return RunReport("equal-run", tuple(r for v, r in runs if not (nonzero_only and v == 0)))
 
 
@@ -93,7 +93,7 @@ def _extremes(terms: list[int], comp: RunReport, gap: RunReport) -> Extremes:
 
 
 def extremes(c: TermsLike) -> Extremes:
-    terms = as_terms(c).tolist()
+    terms = as_terms(c)
     return _extremes(terms, *_components_and_gaps(terms))
 
 
@@ -113,13 +113,13 @@ def square_counts(c: TermsLike) -> dict[int, int]:
     L - v + 1 v-squares when v <= L.  The trivial 1-squares (any term equal
     to 1) are excluded from the multiset.
     """
-    squares = _squares(_runs(as_terms(c).tolist()))
+    squares = _squares(_runs(as_terms(c)))
     return {v: count for v, count in squares.items() if v >= 2}
 
 
 def largest_square(c: TermsLike) -> int:
     """Largest k such that k consecutive terms all equal k; 0 if none."""
-    return max(_squares(_runs(as_terms(c).tolist())), default=0)
+    return max(_squares(_runs(as_terms(c))), default=0)
 
 
 def _longest_increasing_run(terms: list[int]) -> int:
@@ -130,23 +130,23 @@ def _longest_increasing_run(terms: list[int]) -> int:
 
 def longest_increasing_run(c: TermsLike) -> int:
     """Length of the longest strictly increasing run of consecutive terms."""
-    return _longest_increasing_run(as_terms(c).tolist())
+    return _longest_increasing_run(as_terms(c))
 
 
 def is_carlitz(c: TermsLike) -> bool:
     """True iff no two adjacent terms are equal."""
-    terms = as_terms(c).tolist()
+    terms = as_terms(c)
     return len(_runs(terms)) == len(terms)
 
 
 def max_multiplicity(c: TermsLike) -> int:
     """Largest number of times any single value occurs among the terms."""
-    return max(Counter(as_terms(c).tolist()).values())
+    return max(Counter(as_terms(c)).values())
 
 
 def stats_report(c: TermsLike) -> dict:
     """All statistics of one composition, as a plain dict (CLI surface)."""
-    terms = as_terms(c).tolist()
+    terms = as_terms(c)
     comp, gap = _components_and_gaps(terms)
     ex = _extremes(terms, comp, gap)
     equal = _runs(terms)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -25,8 +24,6 @@ from .patterns import PatternSyntaxError, match, parse_pattern
 from .properties import Property
 from .rng import RngStream
 from .samplers import sample_geometric, sample_uniform_bars, sample_uniform_chain
-
-DEFAULT_SEED_ENV = "COMPEVO_SEED"
 
 
 class UsageError(Exception):
@@ -90,10 +87,6 @@ def _statistic_params(kv: dict) -> dict:
     return {key: _num(kv, key, cast) for key, cast in STATISTIC_PARAMS.items() if key in kv}
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(DEFAULT_SEED_ENV, "0"))
-
-
 def _format_composition(c: Composition, fmt: str) -> str:
     terms = [int(t) for t in c.terms]
     if fmt == "csv":
@@ -112,18 +105,14 @@ def _format_composition(c: Composition, fmt: str) -> str:
 def cmd_sample(args, out) -> int:
     kv = _kv_pairs(args.params)
     n = _num(kv, "n", int)
-    seed = args.seed if args.seed is not None else _default_seed()
-    stream = RngStream(seed, 0)
+    stream = RngStream(args.seed, 0)
     for i in range(args.count):
         sub = stream.substream(i)
         if args.uniform or args.chain:
             m = _num(kv, "m", int)
             c = (sample_uniform_chain if args.chain else sample_uniform_bars)(n, m, sub)
         else:
-            p = _num(kv, "p", float)
-            from .core import GeometricModel
-            GeometricModel(n, p)  # validates 0 <= p < 1
-            c = sample_geometric(n, p, sub)
+            c = sample_geometric(n, _num(kv, "p", float), sub)
         out.write(_format_composition(c, args.format) + "\n")
     return 0
 
@@ -289,7 +278,7 @@ def build_parser() -> _Parser:
                    help="uniform model via the ball-by-ball urn chain")
     p.add_argument("params", nargs="*", help="n=.. and m=.. or p=..")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "digits", "json-array"], default="csv")
     p.set_defaults(func=cmd_sample)
 

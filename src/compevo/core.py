@@ -92,24 +92,39 @@ class Composition:
         return Composition(arr)
 
 
-def as_terms(c: TermsLike) -> np.ndarray:
-    """Coerce a composition-like value to a 1-d int64 array."""
-    if isinstance(c, Composition):
-        return c.terms
-    return np.asarray(c, dtype=np.int64)
+def as_terms(c: TermsLike) -> list[int]:
+    """The terms of a composition-like value as a list of Python ints.
+
+    No int64 round trip, so a plain sequence may hold terms of any size.
+    """
+    if isinstance(c, np.ndarray):
+        return c.tolist()
+    return list(c)
 
 
 def composition_size(c: TermsLike) -> int:
     """Sum of the terms (the size of the composition, not its length)."""
-    return int(as_terms(c).sum())
+    return sum(as_terms(c))
+
+
+def check_uniform(n: int, m: int) -> None:
+    """Refuse (n, m) unless it is a point of the uniform model C(n, m)."""
+    if not (n >= 1 and m >= 0):
+        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
+
+
+def check_geometric(n: int, p: float) -> None:
+    """Refuse (n, p) unless it is a point of the geometric model C(n, p).
+
+    The model is undefined at p = 1; a NaN p fails the comparison too.
+    """
+    if not (n >= 1 and 0.0 <= p < 1.0):
+        raise ValueError(f"need n >= 1 and 0 <= p < 1, got n={n}, p={p}")
 
 
 def count_compositions(n: int, m: int) -> int:
     """Number of n-term weak compositions of m: binom(m+n-1, m), exact."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    check_uniform(n, m)
     return math.comb(m + n - 1, m)
 
 
@@ -121,10 +136,7 @@ class UniformModel:
     m: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
+        check_uniform(self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -135,10 +147,7 @@ class GeometricModel:
     p: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not (0.0 <= self.p < 1.0):
-            raise ValueError("p must satisfy 0 <= p < 1 (the model is undefined at p = 1)")
+        check_geometric(self.n, self.p)
 
     @property
     def q(self) -> float:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .core import ChunkError, EstimateResult, UnsupportedProperty
+from .core import ChunkError, EstimateResult, UnsupportedProperty, check_geometric, check_uniform
 from .properties import Property
 from .rng import RngStream
 from .samplers import geometric_terms, uniform_bars_batch
@@ -144,10 +144,6 @@ class ExperimentConfig:
                    workers=int(workers), timing=bool(doc.get("timing", False)),
                    theory_mode=theory_mode)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
 
 def _reject_unknown_keys(doc: dict, known: set[str], where: str) -> None:
     unknown = sorted(set(doc) - known)
@@ -192,12 +188,13 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
 
 def _check_point(point: GridPoint) -> GridPoint:
     """The point, or a ValueError naming it if its model cannot sample it."""
-    if point.model == "uniform":
-        ok, need = point.n >= 1 and point.m >= 0, "n >= 1 and m >= 0"
-    else:
-        ok, need = point.n >= 1 and 0.0 <= point.p < 1.0, "n >= 1 and 0 <= p < 1"
-    if not ok:
-        raise ValueError(f"grid point ({point.label}): need {need}")
+    try:
+        if point.model == "uniform":
+            check_uniform(point.n, point.m)
+        else:
+            check_geometric(point.n, point.p)
+    except ValueError as exc:
+        raise ValueError(f"grid point ({point.label}): {exc}") from None
     return point
 
 

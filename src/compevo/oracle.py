@@ -10,11 +10,13 @@ Two routes:
   reads each term through its value class, an interval [a, b) between
   sorted cut points with mass p**a - p**b (p**a for the last, [a, inf)).
   Patterns, run lengths and the largest term need finitely many classes and
-  come out exact, with lo == hi.  Value-tracking automata give each value
-  up to a cap V a class and lump the rest; the result is a certified
-  interval [lo, hi] whose width is at most n * p**(V+1), the union bound on
-  any term exceeding V (``any_square`` caps the square side instead, see
-  _square_exists_lo).  Only ``tmin_ge`` is a closed form, p**(r*n).  Exact
+  come out exact, with lo == hi; the longest component and gap, the largest
+  term and a k-square are the patterns u:[1^k], e:[0^k], u:[r] and e:[k^k],
+  so one prefix-set automaton decides all of them.  Value-tracking automata
+  give each value up to a cap V a class and lump the rest; the result is a
+  certified interval [lo, hi] whose width is at most n * p**(V+1), the union
+  bound on any term exceeding V (``any_square`` caps the square side
+  instead, see _square_exists_lo).  Only ``tmin_ge`` is a closed form, p**(r*n).  Exact
   means exact up to float64 rounding, which the interval does not cover:
   at n = 2*10^4 it measured at most 3.3e-13 against the same matrices
   powered in 40-digit arithmetic (12 forms, p = 0.05 to 0.95).  It grows
@@ -24,6 +26,10 @@ Two routes:
 The automata here are built by the active-prefix-set construction, not from
 the product formulas of the theory module, so agreement between the two is a
 real cross-check.
+
+Every public entry refuses an invalid model point before any work, through
+``core.check_uniform`` or ``core.check_geometric``; ``window_prob_geometric``
+checks (pattern length, p).
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import (GuardExceeded, PatternKind, PatternSpec, UnsupportedProperty,
-                   count_compositions)
+                   check_geometric, check_uniform, count_compositions)
 from .patterns import COMPARE, match, relation
 
 ENUMERATION_GUARD = 10_000_000
@@ -75,8 +81,7 @@ class ExactProbability:
 
 def iter_uniform(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All n-term compositions of m in lexicographic order."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
+    check_uniform(n, m)
     terms = [0] * (n - 1) + [m]
     yield tuple(terms)
     while True:
@@ -114,8 +119,8 @@ def exact_prob_uniform(n: int, m: int,
 
 def negbin_log_pmf(n: int, p: float, m: int) -> float:
     """log P(|C(n,p)| = m) = log binom(m+n-1, m) + m log p + n log q."""
-    if not (0.0 <= p < 1.0):
-        raise ValueError("need 0 <= p < 1")
+    check_geometric(n, p)
+    check_uniform(n, m)
     if p == 0.0:
         return 0.0 if m == 0 else -math.inf
     lb = math.lgamma(m + n) - math.lgamma(m + 1) - math.lgamma(n)
@@ -196,20 +201,8 @@ def _prefix_set_prob(n: int, p: float, spec: PatternSpec) -> float:
     return _transfer(n, _weights(cuts, p), frozenset([0]), step)
 
 
-# ----- run-length automata over the zero/nonzero alphabet: exact ------------
+# ----- shortest-run automaton over the zero/nonzero alphabet: exact ----------
 # cuts [0, 1]: class 0 = zero term, class 1 = nonzero term
-
-def _longest_run_ge(n: int, p: float, k: int, run_class: int) -> float:
-    """P(k consecutive terms of ``run_class``): 1 for components, 0 for gaps."""
-    if k <= 0:
-        return 1.0  # every composition has a run of length >= 0
-
-    def step(state, ci):
-        if ci != run_class:
-            return 0
-        return FOUND if state + 1 >= k else state + 1
-    return _transfer(n, _weights([0, 1], p), 0, step)
-
 
 def _shortest_run_gt(n: int, p: float, k: int, run_class: int) -> float:
     """P(a run of ``run_class`` terms exists and every such run is longer than k)."""
@@ -315,6 +308,13 @@ def _pattern_prob(n: int, p: float, spec: PatternSpec) -> ExactProbability:
     return _exact(_prefix_set_prob(n, p, spec))
 
 
+def _run_prob(n: int, p: float, kind: PatternKind, term: int, k: int) -> ExactProbability:
+    """P(k consecutive terms each match ``term`` under ``kind``): the pattern term^k."""
+    if k <= 0:
+        return _exact(1.0)  # every composition has a run of length >= 0
+    return _pattern_prob(n, p, PatternSpec(kind, ((term,) * k,)))
+
+
 def _interval(lo: float, tail: float) -> ExactProbability:
     return ExactProbability(min(lo, 1.0), min(lo + tail, 1.0), "transfer_dp")
 
@@ -328,8 +328,9 @@ def _carlitz(n, p, params, width):
 # statistic id -> (n, p, params, width) -> P(the statistic holds for C(n, p));
 # Property.oracle_form offers (id, params) for exactly these ids
 GEOMETRIC_FORMS: dict[str, Callable[[int, float, dict, float], ExactProbability]] = {
-    "cmax_ge": lambda n, p, params, width: _exact(_longest_run_ge(n, p, params["k"], 1)),
-    "gmax_ge": lambda n, p, params, width: _exact(_longest_run_ge(n, p, params["k"], 0)),
+    # a component of length >= k is the upper pattern 1^k, a gap the exact pattern 0^k
+    "cmax_ge": lambda n, p, params, width: _run_prob(n, p, PatternKind.UPPER, 1, params["k"]),
+    "gmax_ge": lambda n, p, params, width: _run_prob(n, p, PatternKind.EXACT, 0, params["k"]),
     "cmin_gt": lambda n, p, params, width: _exact(_shortest_run_gt(n, p, params["k"], 1)),
     "gmin_gt": lambda n, p, params, width: _exact(_shortest_run_gt(n, p, params["k"], 0)),
     # tmax >= r is the one-term upper pattern [r]; [0] for r <= 0 matches every term
@@ -355,10 +356,7 @@ def exact_prob_geometric_consecutive(n: int, p: float, statistic,
     ``GEOMETRIC_FORMS``: cmax_ge/gmax_ge/cmin_gt/gmin_gt {k}, tmax_ge/tmin_ge
     {r}, equal_run {k, nonzero}, square {k}, any_square {}, carlitz {}.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not (0.0 <= p < 1.0):
-        raise ValueError("need 0 <= p < 1")
+    check_geometric(n, p)
     if isinstance(statistic, PatternSpec):
         return _pattern_prob(n, p, statistic)
     sid, params = statistic
@@ -378,8 +376,7 @@ def window_prob_geometric(spec: PatternSpec, p: float,
     if len(spec.blocks) != 1:
         raise UnsupportedProperty("per-window probability needs a consecutive pattern")
     k = spec.length
-    if not (0.0 <= p < 1.0):
-        raise ValueError("need 0 <= p < 1")
+    check_geometric(k, p)
     if p == 0.0:
         v = 1.0 if match((0,) * k, spec).exists else 0.0
         return ExactProbability(v, v, "window_enum")

@@ -234,7 +234,7 @@ def match(c: TermsLike, spec: PatternSpec, strict: bool = False,
     ``strict`` requires a gap of at least one position between consecutive
     blocks of a vincular pattern; the default allows adjacent blocks.
     """
-    terms = as_terms(c).tolist()
+    terms = as_terms(c)
     structure = spec.structure
     if spec.kind is PatternKind.ORDERING and structure is not BlockStructure.CONSECUTIVE:
         if structure is BlockStructure.VINCULAR:

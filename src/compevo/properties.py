@@ -206,7 +206,7 @@ def _equal_terms_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
 def _square_holds(prop: Property, c) -> bool:
     k = prop.params["k"]
     if k == 1:  # square_counts leaves out the trivial 1-squares
-        return 1 in as_terms(c).tolist()
+        return 1 in as_terms(c)
     return analysis.square_counts(c).get(k, 0) > 0
 
 

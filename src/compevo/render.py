@@ -11,7 +11,7 @@ from .core import TermsLike, as_terms
 def render_ascii(c: TermsLike) -> str:
     """One text column per term; column height equals the term value."""
     terms = as_terms(c)
-    height = int(terms.max())
+    height = max(terms)
     lines = []
     for level in range(height, 0, -1):
         lines.append("".join("#" if t >= level else " " for t in terms))
@@ -24,7 +24,7 @@ def render_svg(c: TermsLike, bar_width: int = 10, unit: int = 10,
     """Standalone SVG bar chart; one rect per nonzero term plus a baseline."""
     terms = as_terms(c)
     n = len(terms)
-    height = max(int(terms.max()), 1) * unit
+    height = max(max(terms), 1) * unit
     width = n * bar_width
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -32,7 +32,6 @@ def render_svg(c: TermsLike, bar_width: int = 10, unit: int = 10,
         f'viewBox="0 0 {width + 2 * pad} {height + 2 * pad}">',
     ]
     for i, t in enumerate(terms):
-        t = int(t)
         if t == 0:
             continue
         x = pad + i * bar_width

@@ -16,7 +16,10 @@ Three models plus the coupling bridge:
   composition with parameter p1 into one with parameter p2.
 
 All samplers are pure given an RngStream.  Batch variants return a
-(count, n) matrix and are the fast path for Monte Carlo work.
+(count, n) matrix and are the fast path for Monte Carlo work.  Every sampler
+first refuses an invalid model point through ``core.check_uniform`` or
+``core.check_geometric`` (both bridge parameters are geometric points; the
+conditioned sampler checks (n, p) and its target (n, m)).
 """
 
 from __future__ import annotations
@@ -25,13 +28,8 @@ import math
 
 import numpy as np
 
-from .core import Composition
+from .core import Composition, check_geometric, check_uniform
 from .rng import RngStream
-
-
-def _check_p(p: float) -> None:
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"p must satisfy 0 <= p < 1, got {p}")
 
 
 # Below this p the sparse draw is faster. Median ns per term, inverse CDF /
@@ -70,7 +68,7 @@ def _sparse_geometric_terms(shape: tuple[int, ...], p: float, gen: np.random.Gen
 
 def geometric_terms(n: int, p: float, rng: RngStream, count: int | None = None) -> np.ndarray:
     """i.i.d. geometric terms; shape (n,) or (count, n)."""
-    _check_p(p)
+    check_geometric(n, p)
     shape = (n,) if count is None else (count, n)
     if p == 0.0:
         return np.zeros(shape, dtype=np.int64)
@@ -107,8 +105,7 @@ def _bars_to_terms(bars: np.ndarray, n: int, m: int) -> np.ndarray:
 
 def sample_uniform_bars(n: int, m: int, rng: RngStream) -> Composition:
     """Uniform composition via a random placement of n-1 bars among m stars."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
+    check_uniform(n, m)
     if n == 1:
         return Composition([m])
     bars = _floyd_subset(n - 1, m + n - 1, rng.generator)
@@ -125,8 +122,7 @@ def uniform_bars_batch(n: int, m: int, count: int, rng: RngStream) -> np.ndarray
     k balls the boxes are a uniform multiset.  k steps, each vectorized over
     the rows; scratch memory is O(count k).
     """
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
+    check_uniform(n, m)
     stars = m < n - 1
     k, boxes = (m, n) if stars else (n - 1, m + 1)
     # int32 halves the memory traffic and sorts faster than int64
@@ -159,8 +155,7 @@ def sample_uniform_chain(n: int, m: int, rng: RngStream) -> Composition:
     one token per ball already placed; each step copies a uniformly chosen
     token.  Each step is O(1), the whole draw O(n + m).
     """
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
+    check_uniform(n, m)
     gen = rng.generator
     terms = np.zeros(n, dtype=np.int64)
     tokens = list(range(n))
@@ -182,8 +177,8 @@ def evolve_step(c: Composition, rng: RngStream) -> Composition:
 
 def bridge_terms(n: int, p1: float, p2: float, rng: RngStream, count: int | None = None) -> np.ndarray:
     """i.i.d. increment terms: P(0) = q2/q1, P(k) = (q2/q1)(1 - p1/p2) p2^k for k >= 1."""
-    _check_p(p1)
-    _check_p(p2)
+    check_geometric(n, p1)
+    check_geometric(n, p2)
     if not p1 < p2:
         raise ValueError(f"bridge requires p1 < p2, got p1={p1}, p2={p2}")
     q1, q2 = 1.0 - p1, 1.0 - p2
@@ -205,7 +200,8 @@ def sample_bridge(n: int, p1: float, p2: float, rng: RngStream) -> Composition:
 def sample_geometric_conditioned(n: int, p: float, m: int, rng: RngStream,
                                  max_attempts: int = 10_000_000) -> Composition:
     """Rejection-sample C(n, p) conditioned on size m (test-scale only)."""
-    _check_p(p)
+    check_geometric(n, p)
+    check_uniform(n, m)
     batch = 256
     done = 0
     while done < max_attempts:

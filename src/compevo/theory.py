@@ -14,6 +14,11 @@ disappearance), its exponent of n and the Poisson mean at the threshold.
 have, and a parameter at which its count does not grow with n (k = 1 for
 ``equal_terms``), raise ``UnsupportedProperty``.
 
+Every form that takes a model point refuses an invalid one first, through
+``core.check_geometric`` or ``core.check_uniform``; a per-window form checks
+(pattern length, p).  ``threshold_location`` needs n >= 2, since p* or q* =
+n**exponent is below 1 only from there, and ``square_threshold`` needs n >= 3.
+
 Products and binomial ratios are evaluated in log space where underflow is
 possible.
 """
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp, expm1, lgamma, log, log1p
 
-from .core import PatternKind, PatternSpec, UnsupportedProperty
+from .core import PatternKind, PatternSpec, UnsupportedProperty, check_geometric, check_uniform
 
 
 @dataclass(frozen=True)
@@ -51,31 +56,26 @@ class TheoryPrediction:
         return 1.0 - self.prob_none()
 
 
-def _check_p(p: float) -> None:
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"p must satisfy 0 <= p < 1, got {p}")
-
-
 # ---------------------------------------------------------------------------
 # components and gaps
 
 def expected_components(n: int, p: float) -> TheoryPrediction:
     """Mean number of components (maximal nonzero runs): n*q*p + p**2."""
-    _check_p(p)
+    check_geometric(n, p)
     q = 1.0 - p
     return TheoryPrediction(n * q * p + p * p, "expectation")
 
 
 def expected_gaps(n: int, p: float) -> TheoryPrediction:
     """Mean number of gaps (maximal zero runs): n*q*p + q**2."""
-    _check_p(p)
+    check_geometric(n, p)
     q = 1.0 - p
     return TheoryPrediction(n * q * p + q * q, "expectation")
 
 
 def mean_component_length(n: int, p: float) -> TheoryPrediction:
     """Mean component length n/(n*q + p), as a ratio of expectations."""
-    _check_p(p)
+    check_geometric(n, p)
     if p == 0.0:
         raise ValueError("component length is undefined at p = 0 (no components)")
     q = 1.0 - p
@@ -84,7 +84,7 @@ def mean_component_length(n: int, p: float) -> TheoryPrediction:
 
 def mean_gap_length(n: int, p: float) -> TheoryPrediction:
     """Mean gap length n/(n*p + q), as a ratio of expectations."""
-    _check_p(p)
+    check_geometric(n, p)
     q = 1.0 - p
     return TheoryPrediction(n / (n * p + q), "expectation")
 
@@ -94,7 +94,7 @@ def mean_gap_length(n: int, p: float) -> TheoryPrediction:
 
 def prob_exact_consecutive_at_position(spec: PatternSpec, p: float) -> TheoryPrediction:
     """P(exact consecutive pattern at a given position) = q**k * p**s."""
-    _check_p(p)
+    check_geometric(spec.length, p)
     if spec.kind is not PatternKind.EXACT or len(spec.blocks) != 1:
         raise UnsupportedProperty("needs an exact consecutive pattern")
     k, s = spec.length, spec.size
@@ -113,6 +113,7 @@ def prob_exact_consecutive_at_position_uniform(n: int, m: int, spec: PatternSpec
     binom(m-s+n-k-1, m-s) / binom(m+n-1, m), evaluated in log-gamma space;
     tends to p**s * q**k with p = m/(m+n).
     """
+    check_uniform(n, m)
     if spec.kind is not PatternKind.EXACT or len(spec.blocks) != 1:
         raise UnsupportedProperty("needs an exact consecutive pattern")
     k, s = spec.length, spec.size
@@ -147,7 +148,7 @@ def prob_ordering_at_position(spec: PatternSpec, p: float) -> TheoryPrediction:
     q**l_j * p**s_{j+1} / (1 - p**s_j), with s_j the number of pattern terms
     valued >= j.  The probability does not depend on the order of the terms.
     """
-    _check_p(p)
+    check_geometric(spec.length, p)
     if len(spec.blocks) != 1:
         raise UnsupportedProperty("needs a consecutive ordering pattern")
     ell = _ordering_multiset(spec)
@@ -165,7 +166,7 @@ def prob_ordering_at_position(spec: PatternSpec, p: float) -> TheoryPrediction:
 
 def prob_tmax_lt(n: int, p: float, r: int) -> TheoryPrediction:
     """P(largest term < r) = (1 - p**r)**n, exact."""
-    _check_p(p)
+    check_geometric(n, p)
     if r < 1:
         raise ValueError("r must be >= 1")
     if p == 0.0:
@@ -175,7 +176,7 @@ def prob_tmax_lt(n: int, p: float, r: int) -> TheoryPrediction:
 
 def prob_tmin_ge(n: int, p: float, r: int) -> TheoryPrediction:
     """P(smallest term >= r) = (1 - q)**(r*n) = p**(r*n), exact."""
-    _check_p(p)
+    check_geometric(n, p)
     if r < 1:
         raise ValueError("r must be >= 1")
     if p == 0.0:
@@ -283,6 +284,8 @@ def threshold_location(statistic_id: str, params: dict, n: int) -> TheoryPredict
     ``details`` carries the parameter name, its exponent of n, and the
     uniform-model location m* = n*p*/q* with its exponent.
     """
+    if n < 2:  # p* or q* = n^exponent is below 1 only from n = 2
+        raise ValueError("need n >= 2")
     prop, row = _statistic(statistic_id, params)
     if row.threshold is not None:
         return row.threshold(prop, n)
@@ -316,15 +319,13 @@ def square_threshold(n: int, c: float = 0.0) -> TheoryPrediction:
 def square_regime_evaluator(n: int, theta: float, c: float) -> dict:
     """log E[X] and log R for the k-square count at the coalescing scale.
 
-    q = theta*log log n/log n and k = (log n/log log n)(1 + c*log log log n/
-    log log n).  A diagnostic evaluator only: no finite n is in-regime, so no
-    pass/fail judgement is attached.
+    q = theta*log log n/log n and k = ``square_threshold(n, c).value``, so n
+    must be at least 3.  A diagnostic evaluator only: no finite n is
+    in-regime, so no pass/fail judgement is attached.
     """
+    k = square_threshold(n, c).value
     ln = log(n)
-    lln = log(ln)
-    llln = log(lln)
-    q = theta * lln / ln
-    k = (ln / lln) * (1.0 + c * llln / lln)
+    q = theta * log(ln) / ln
     logp = log1p(-q)
     log_ex = log(max(n + 1 - k, 1)) + k * log(q) + k * k * logp
     log_r = log(k) - log(n) + (1 - k) * log(q) + (k - k * k) * logp

@@ -120,3 +120,12 @@ def test_mean_counts_match_formulas():
     se_g = ngap.std(ddof=1) / 100.0
     assert abs(ncomp.mean() - 21.09) < 3 * se_c
     assert abs(ngap.mean() - 21.49) < 3 * se_g
+
+
+def test_terms_beyond_int64_in_a_plain_list():
+    # a list is read as Python ints, with no int64 array in between
+    comps = analysis.components([2 ** 70, 1])
+    assert comps.count == 1 and comps.longest == 2
+    assert analysis.gaps([2 ** 70, 0, 1]).longest == 1
+    assert analysis.extremes([2 ** 70, 1]).tmax == 2 ** 70
+    assert match([0, 2 ** 70, 1], parse_pattern("u:[1,1]")).count == 1

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,25 @@ def test_sample_bad_params():
     assert run_cli("sample", "--geometric", "n=3", "p=1.0")[0] == 1
     assert run_cli("sample", "--geometric", "n=3")[0] == 1
     assert run_cli("sample", "--uniform", "n=3", "m=x")[0] == 1
+
+
+def test_sample_seed_defaults_to_zero():
+    assert run_cli("sample", "--geometric", "n=8", "p=0.5") == \
+        run_cli("sample", "--geometric", "n=8", "p=0.5", "--seed", "0")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # n = 0 and n = 1 divided by zero, and n = -4 gave a complex p*
+    ("theory threshold cmax_ge k=2 n=0", "need n >= 2"),
+    ("theory threshold cmax_ge k=2 n=1", "need n >= 2"),
+    ("theory threshold cmax_ge k=2 n=-4", "need n >= 2"),
+    ("theory expected-components n=-5 p=0.3", "need n >= 1 and 0 <= p < 1, got n=-5, p=0.3"),
+    ("sample --geometric n=0 p=0.3", "need n >= 1 and 0 <= p < 1, got n=0, p=0.3"),
+    ("sample --uniform n=4 m=-1", "need n >= 1 and m >= 0, got n=4, m=-1"),
+])
+def test_invalid_model_point_is_one_error_line(capsys, argv, message):
+    assert run_cli(*argv.split()) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # -- stats -------------------------------------------------------------------
@@ -300,3 +320,25 @@ def test_sweep_bad_config(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{\"version\": 99}")
     assert run_cli("sweep", str(path))[0] == 1
+
+
+# -- README ------------------------------------------------------------------
+
+def _readme_commands() -> list[str]:
+    """Every ``compevo ...`` line of the README's CLI block but ``sweep``,
+    which needs a config file."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.strip() for line in block.splitlines()]
+    return [line for line in lines
+            if line.startswith("compevo ") and not line.startswith("compevo sweep ")]
+
+
+def test_readme_lists_cli_examples():
+    assert len(_readme_commands()) >= 10
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_cli_example_runs(command):
+    code, out = run_cli(*shlex.split(command, comments=True)[1:])
+    assert code == 0 and out

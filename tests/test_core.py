@@ -1,20 +1,27 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import compevo
+from compevo import oracle, samplers, theory
 from compevo.core import (Composition, EstimateResult, GeometricModel, PatternKind,
                           PatternSpec, UniformModel, composition_size,
                           count_compositions)
+from compevo.experiment import ExperimentConfig
 from compevo.oracle import iter_uniform
+from compevo.patterns import parse_pattern
+from compevo.rng import RngStream
 
 
 def test_composition_size_examples(chart_a):
     assert composition_size(Composition([0, 0, 0])) == 0
     assert composition_size(Composition(chart_a)) == 80
     assert composition_size(Composition([7])) == 7
+    # a plain sequence is read as Python ints, with no int64 array in between
+    assert composition_size([2 ** 70, 1]) == 2 ** 70 + 1
 
 
 def test_composition_validation():
@@ -94,3 +101,85 @@ def test_estimate_result_invariant():
 
 def test_every_exported_name_resolves():
     assert [name for name in compevo.__all__ if not hasattr(compevo, name)] == []
+
+
+# -- one rule per model ------------------------------------------------------
+
+def _uniform_error(n, m):
+    return f"need n >= 1 and m >= 0, got n={n}, m={m}"
+
+
+def _geometric_error(n, p):
+    return f"need n >= 1 and 0 <= p < 1, got n={n}, p={p}"
+
+
+def _sweep(model, point):
+    return ExperimentConfig.from_dict({
+        "version": 1, "model": model, "grid": [point], "trials": 10, "seed": 0,
+        "property": {"statistic": "cmax_ge", "params": {"k": 2}}})
+
+
+_RNG = RngStream(0)
+_E11 = parse_pattern("e:[1,1]")
+_O01 = parse_pattern("o:[0,1]")
+
+# (entry called at an invalid model point, the one message it must raise)
+INVALID_POINTS = {
+    "UniformModel": (lambda: UniformModel(0, 3), _uniform_error(0, 3)),
+    "GeometricModel": (lambda: GeometricModel(4, 1.0), _geometric_error(4, 1.0)),
+    "count_compositions": (lambda: count_compositions(3, -1), _uniform_error(3, -1)),
+    "geometric_terms": (lambda: samplers.geometric_terms(0, 0.5, _RNG, count=2),
+                        _geometric_error(0, 0.5)),
+    "sample_geometric": (lambda: samplers.sample_geometric(3, -0.1, _RNG),
+                         _geometric_error(3, -0.1)),
+    "bridge_terms-n": (lambda: samplers.bridge_terms(0, 0.2, 0.5, _RNG),
+                       _geometric_error(0, 0.2)),
+    "bridge_terms-p2": (lambda: samplers.bridge_terms(3, 0.2, 1.0, _RNG),
+                        _geometric_error(3, 1.0)),
+    "sample_bridge": (lambda: samplers.sample_bridge(3, -0.5, 0.5, _RNG),
+                      _geometric_error(3, -0.5)),
+    "sample_geometric_conditioned-n": (
+        lambda: samplers.sample_geometric_conditioned(0, 0.5, 3, _RNG), _geometric_error(0, 0.5)),
+    # a negative target size used to draw for the whole attempt budget
+    "sample_geometric_conditioned-m": (
+        lambda: samplers.sample_geometric_conditioned(3, 0.5, -1, _RNG), _uniform_error(3, -1)),
+    "sample_uniform_bars": (lambda: samplers.sample_uniform_bars(0, 3, _RNG), _uniform_error(0, 3)),
+    "uniform_bars_batch": (lambda: samplers.uniform_bars_batch(3, -1, 4, _RNG),
+                           _uniform_error(3, -1)),
+    "sample_uniform_chain": (lambda: samplers.sample_uniform_chain(-2, 3, _RNG),
+                             _uniform_error(-2, 3)),
+    # expected_components(-5, 0.3) used to answer -0.96
+    "expected_components": (lambda: theory.expected_components(-5, 0.3),
+                            _geometric_error(-5, 0.3)),
+    "expected_gaps": (lambda: theory.expected_gaps(0, 0.3), _geometric_error(0, 0.3)),
+    "mean_component_length": (lambda: theory.mean_component_length(0, 0.3),
+                              _geometric_error(0, 0.3)),
+    "mean_gap_length": (lambda: theory.mean_gap_length(10, 1.5), _geometric_error(10, 1.5)),
+    "prob_tmax_lt": (lambda: theory.prob_tmax_lt(0, 0.5, 1), _geometric_error(0, 0.5)),
+    "prob_tmin_ge": (lambda: theory.prob_tmin_ge(-1, 0.5, 1), _geometric_error(-1, 0.5)),
+    "prob_exact_consecutive_at_position": (
+        lambda: theory.prob_exact_consecutive_at_position(_E11, 1.0), _geometric_error(2, 1.0)),
+    "prob_exact_consecutive_at_position_uniform": (
+        lambda: theory.prob_exact_consecutive_at_position_uniform(0, 3, _E11), _uniform_error(0, 3)),
+    "prob_ordering_at_position": (
+        lambda: theory.prob_ordering_at_position(_O01, -0.2), _geometric_error(2, -0.2)),
+    "iter_uniform": (lambda: list(oracle.iter_uniform(0, 2)), _uniform_error(0, 2)),
+    "negbin_log_pmf-p": (lambda: oracle.negbin_log_pmf(3, 1.0, 2), _geometric_error(3, 1.0)),
+    "negbin_log_pmf-m": (lambda: oracle.negbin_log_pmf(3, 0.5, -1), _uniform_error(3, -1)),
+    "exact_prob_geometric_consecutive": (
+        lambda: oracle.exact_prob_geometric_consecutive(0, 0.5, ("cmax_ge", {"k": 2})),
+        _geometric_error(0, 0.5)),
+    "window_prob_geometric": (lambda: oracle.window_prob_geometric(_E11, 1.0),
+                              _geometric_error(2, 1.0)),
+    "experiment-uniform": (lambda: _sweep("uniform", {"n": 0, "m": 3}),
+                           "grid point (n=0, m=3): " + _uniform_error(0, 3)),
+    "experiment-geometric": (lambda: _sweep("geometric", {"n": 5, "p": 1.0}),
+                             "grid point (n=5, p=1.0): " + _geometric_error(5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INVALID_POINTS))
+def test_every_entry_refuses_an_invalid_point_with_one_message(entry):
+    call, message = INVALID_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

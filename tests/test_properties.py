@@ -98,3 +98,11 @@ def test_missing_parameter_fails_at_construction(sid, need):
     # without the check the first holds_batch call dies with a bare KeyError
     with pytest.raises(ValueError, match=f"needs parameter '{need}'"):
         Property(sid, {})
+
+
+def test_holds_on_a_term_beyond_int64():
+    terms = [2 ** 70, 1]
+    assert Property("square", {"k": 1}).holds(terms)
+    assert Property("tmax_ge", {"r": 2 ** 65}).holds(terms)
+    assert Property("contains", spec="e:[1]").holds(terms)
+    assert not Property("cmax_ge", {"k": 3}).holds(terms)

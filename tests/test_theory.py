@@ -224,3 +224,23 @@ def test_square_threshold_needs_log_log_n_positive(n):
     # n = 1 died in log(0) and n = 2 answered a negative side
     with pytest.raises(ValueError, match="need n >= 3"):
         theory.square_threshold(n)
+
+
+@pytest.mark.parametrize("n", [-4, 0, 1])
+def test_threshold_location_needs_n_at_least_2(n):
+    # p* = n^exponent is below 1 only from n = 2: n = 1 divided by zero in
+    # m* = n p*/q*, and n = -4 gave a complex p*
+    with pytest.raises(ValueError, match="need n >= 2"):
+        theory.threshold_location("cmax_ge", {"k": 2}, n)
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_square_regime_evaluator_takes_k_from_square_threshold(n):
+    # n = 3 raised a math domain error; at n = 10 the side was 2.46, not 2.76
+    out = theory.square_regime_evaluator(n, theta=1.0, c=0.5)
+    assert out["k"] == theory.square_threshold(n, 0.5).value
+
+
+def test_square_regime_evaluator_needs_n_at_least_3():
+    with pytest.raises(ValueError, match="need n >= 3"):
+        theory.square_regime_evaluator(2, theta=1.0, c=0.5)
