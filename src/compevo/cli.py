@@ -57,12 +57,16 @@ def parse_composition(text: str) -> Composition:
     raise UsageError(f"unexpected character {text[bad]!r} at position {bad}")
 
 
-def _kv_pairs(tokens: list[str]) -> dict[str, str]:
+def _kv_pairs(tokens: list[str], known) -> dict[str, str]:
+    """The key=value tokens; a key outside ``known`` is a usage error."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise UsageError(f"expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
+        if k not in known:
+            raise UsageError(f"unknown parameter {k!r}; "
+                             f"expected one of {', '.join(sorted(known))}")
         out[k] = v
     return out
 
@@ -81,6 +85,7 @@ def _num(kv: dict, key: str, cast, required=True, default=None):
 # statistic parameters that ``theory`` and ``oracle`` pass on, with their types
 STATISTIC_PARAMS = {"k": int, "r": int, "min_k": int, "c": float, "side": str, "spec": str,
                     "nonzero": lambda text: text.lower() in ("1", "true", "yes")}
+MODEL_KEYS = {"n", "m", "p"}
 
 
 def _statistic_params(kv: dict) -> dict:
@@ -103,7 +108,7 @@ def _format_composition(c: Composition, fmt: str) -> str:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_sample(args, out) -> int:
-    kv = _kv_pairs(args.params)
+    kv = _kv_pairs(args.params, MODEL_KEYS)
     n = _num(kv, "n", int)
     stream = RngStream(args.seed, 0)
     for i in range(args.count):
@@ -152,7 +157,8 @@ def _prediction_doc(pred: theory.TheoryPrediction) -> dict:
 def cmd_theory(args, out) -> int:
     what = args.what
     rest = list(args.params)
-    kv = _kv_pairs([t for t in rest if "=" in t])
+    kv = _kv_pairs([t for t in rest if "=" in t],
+                   MODEL_KEYS | {"alpha"} | set(STATISTIC_PARAMS))
     words = [t for t in rest if "=" not in t]
 
     if what == "poisson":
@@ -227,7 +233,7 @@ def cmd_render(args, out) -> int:
 
 
 def cmd_oracle(args, out) -> int:
-    kv = _kv_pairs(args.params)
+    kv = _kv_pairs(args.params, MODEL_KEYS | set(STATISTIC_PARAMS))
     mode = args.mode
     if mode == "count":
         n, m = _num(kv, "n", int), _num(kv, "m", int)

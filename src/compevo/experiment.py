@@ -27,8 +27,8 @@ Config schema (JSON, version 1)::
     }
 
 Unknown keys are rejected at the top level, in ``property``, in ``theory`` and
-in each grid entry, and so is a grid point with n < 1, m < 0 or p outside
-[0, 1).
+in each grid entry, and so is a grid point with n < 1, m < 0, p outside
+[0, 1) or m + n - 1 >= 2**63 (beyond the uniform batch sampler's int64).
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .core import ChunkError, EstimateResult, UnsupportedProperty, check_geometric, check_uniform
+from .core import ChunkError, EstimateResult, UnsupportedProperty, check_geometric
 from .properties import Property
 from .rng import RngStream
-from .samplers import geometric_terms, uniform_bars_batch
+from .samplers import check_urn, geometric_terms, uniform_bars_batch
 from .stats import INTERVALS, proportion_estimate
 
 CHUNK = 4096  # trials per RNG substream; part of the determinism contract
@@ -169,8 +169,12 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
         if model != "uniform":
             raise ValueError("m_exponents grid needs the uniform model")
         _reject_unknown_keys(gdoc, M_EXPONENT_KEYS, "grid")
-        return [GridPoint(n=n, model=model, m=int(round(n ** c)), alpha=float(c))
-                for c in gdoc["m_exponents"]]
+        try:
+            ms = [int(round(n ** c)) for c in gdoc["m_exponents"]]
+        except OverflowError:  # a float n ** c beyond the float range
+            raise ValueError(f"grid n={n}: n^c overflows for an m exponent") from None
+        return [_check_point(GridPoint(n=n, model=model, m=m, alpha=float(c)))
+                for m, c in zip(ms, gdoc["m_exponents"])]
     if "alphas" in gdoc:
         if model != "geometric":
             raise ValueError("alpha grid needs the geometric model")
@@ -190,7 +194,7 @@ def _check_point(point: GridPoint) -> GridPoint:
     """The point, or a ValueError naming it if its model cannot sample it."""
     try:
         if point.model == "uniform":
-            check_uniform(point.n, point.m)
+            check_urn(point.n, point.m)
         else:
             check_geometric(point.n, point.p)
     except ValueError as exc:

@@ -9,8 +9,9 @@
   fast path.  Its loops run over pattern length and block count, never over
   trials, except for nonconsecutive ordering patterns: no greedy scan decides
   them, so each row gets one depth-first ``patterns.match``;
-* its geometric oracle argument, offered for the ids of
-  ``oracle.GEOMETRIC_FORMS`` and for consecutive e/u/l patterns;
+* its geometric oracle form, when it has one: a consecutive e/u/l pattern
+  whose existence is the statistic, or a call (n, p, width) into one of the
+  automata of ``oracle``;
 * its ``theory.Scaling`` (threshold side and exponent, Poisson mean).
 
 ``Property`` (id, parameters, parsed pattern) is the picklable handle callers
@@ -30,10 +31,6 @@ from .core import BlockStructure, PatternKind, PatternSpec, UnsupportedProperty,
 from .theory import Scaling
 
 
-def _named_form(prop: Property):
-    return (prop.statistic_id, prop.params) if prop.statistic_id in oracle.GEOMETRIC_FORMS else None
-
-
 @dataclass(frozen=True)
 class StatisticDef:
     """Everything known about one statistic id; each callable takes the Property first."""
@@ -43,7 +40,7 @@ class StatisticDef:
     needs: str | None = None  # the parameter it cannot be decided without
     minimum: int | None = None  # the least value ``needs`` may take
     kind: PatternKind | None = None  # consecutive patterns of this kind only
-    oracle_form: Callable[[Property], object] = _named_form  # None when unsupported
+    oracle_form: Callable[[Property], object] | None = None  # None: no geometric oracle
     scaling: Callable[[Property], Scaling] | None = None
     # the threshold when it is no power of n; replaces the scaling's
     threshold: Callable[[Property, int], theory.TheoryPrediction] | None = None
@@ -78,7 +75,8 @@ class Property:
 
     def oracle_form(self):
         """Argument for the geometric DP oracle, or None when unsupported."""
-        return STATISTICS[self.statistic_id].oracle_form(self)
+        form = STATISTICS[self.statistic_id].oracle_form
+        return None if form is None else form(self)
 
 
 def _pattern_param(prop: Property, kind: PatternKind | None) -> PatternSpec:
@@ -122,7 +120,29 @@ def _consecutive_form(prop: Property):
 def _pattern_row(kind: PatternKind | None, scaling=None) -> StatisticDef:
     return StatisticDef(holds=lambda prop, c: patterns.match(c, prop.spec).exists,
                         holds_batch=_pattern_batch, needs="spec", kind=kind,
-                        oracle_form=_consecutive_form, scaling=scaling)
+                        oracle_form=None if kind is PatternKind.ORDERING else _consecutive_form,
+                        scaling=scaling)
+
+
+# u:[0] matches every term: the form of a statistic that always holds
+_ALWAYS = PatternSpec(PatternKind.UPPER, ((0,),))
+
+
+def _run_form(kind: PatternKind, term: int):
+    """k consecutive terms each matching ``term`` under ``kind``: the pattern term^k."""
+    def form(prop: Property):
+        k = prop.params["k"]
+        return PatternSpec(kind, ((term,) * k,)) if k > 0 else _ALWAYS
+    return form
+
+
+def _tmin_form(prop: Property):
+    # every term is >= r unless the lower pattern [r - 1] occurs
+    r = prop.params["r"]
+    if r <= 0:
+        return _ALWAYS
+    spec = PatternSpec(PatternKind.LOWER, ((r - 1,),))
+    return lambda n, p, width: oracle.complement(oracle.pattern_prob(n, p, spec))
 
 
 def _exact_scaling(prop: Property) -> Scaling:
@@ -175,6 +195,32 @@ def _equal_run_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
     return _has_true_run(eq, k - 1)
 
 
+def _equal_run_form(prop: Property):
+    k = prop.params["k"]
+    if k <= 0:
+        return _ALWAYS
+    nonzero = prop.params.get("nonzero", True)  # then a zero term breaks every run
+    return lambda n, p, width: oracle.value_run_prob(
+        n, p, lambda v: k if v or not nonzero else None, width)
+
+
+def _carlitz_form(prop: Property):
+    # Carlitz iff no value occurs twice in a row
+    return lambda n, p, width: oracle.complement(oracle.value_run_prob(n, p, lambda v: 2, width))
+
+
+def _any_square_form(prop: Property):
+    """A square of side v >= 1 is a run of v terms equal to v."""
+    if prop.params.get("min_k", 1) != 1:  # the automaton asks for side >= 1 only
+        return None
+    # a square of side s occurs with probability at most n * p**(s*s), so sides
+    # above w add at most n * p**((w+1)**2) / (1 - p); none is longer than n.
+    # The cap w is near the square root of a term cap: about w**2 / 2 states.
+    return lambda n, p, width: oracle.value_run_prob(
+        n, p, lambda v: v or None, width,
+        lambda w: n * p ** ((w + 1) ** 2) / (1.0 - p) if w < n else 0.0)
+
+
 def _equal_run_scaling(prop: Property) -> Scaling:
     k = prop.params["k"]
     if not _appears(prop):
@@ -221,18 +267,20 @@ def _any_square_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def _longest_run(report, mask, param: str, what: str) -> StatisticDef:
+def _longest_run(report, mask, param: str, what: str, form) -> StatisticDef:
     """Longest component or gap >= k; ``mask`` marks the terms it is made of."""
     return StatisticDef(
         holds=lambda prop, c: report(c).longest >= prop.params["k"],
         holds_batch=lambda prop, x: _has_true_run(mask(x), prop.params["k"]),
         needs="k",
+        oracle_form=form,
         scaling=lambda prop: Scaling(param, prop.params["k"],
                                      f"{what} of length >= {prop.params['k']}"))
 
 
-def _shortest_run(report, mask, param: str, what: str) -> StatisticDef:
-    """Some component (or gap) exists and every one is longer than k."""
+def _shortest_run(report, mask, param: str, what: str, run_class: int) -> StatisticDef:
+    """Some component (or gap) exists and every one is longer than k; the
+    oracle's zero/nonzero alphabet calls its terms class ``run_class``."""
     def holds(prop, c):
         rep = report(c)
         return rep.count > 0 and rep.shortest > prop.params["k"]
@@ -240,6 +288,8 @@ def _shortest_run(report, mask, param: str, what: str) -> StatisticDef:
         holds=holds,
         holds_batch=lambda prop, x: _min_run_gt(mask(x), prop.params["k"]),
         needs="k",
+        oracle_form=lambda prop: lambda n, p, width: oracle.shortest_run_prob(
+            n, p, prop.params["k"], run_class),
         scaling=lambda prop: Scaling(param, 2, f"{what} of length <= {prop.params['k']}",
                                      coefficient=prop.params["k"]))
 
@@ -252,19 +302,25 @@ STATISTICS: dict[str, StatisticDef] = {
     "lower_consec": _pattern_row(PatternKind.LOWER, _lower_scaling),
     "ordering_consec": _pattern_row(PatternKind.ORDERING, _ordering_scaling),
     "contains": _pattern_row(None, _contains_scaling),
-    "cmax_ge": _longest_run(analysis.components, lambda x: x > 0, "p", "components"),
-    "gmax_ge": _longest_run(analysis.gaps, lambda x: x == 0, "q", "gaps"),
-    "cmin_gt": _shortest_run(analysis.components, lambda x: x > 0, "q", "components"),
-    "gmin_gt": _shortest_run(analysis.gaps, lambda x: x == 0, "p", "gaps"),
+    # a component of length >= k is the upper pattern 1^k, a gap the exact pattern 0^k
+    "cmax_ge": _longest_run(analysis.components, lambda x: x > 0, "p", "components",
+                            _run_form(PatternKind.UPPER, 1)),
+    "gmax_ge": _longest_run(analysis.gaps, lambda x: x == 0, "q", "gaps",
+                            _run_form(PatternKind.EXACT, 0)),
+    "cmin_gt": _shortest_run(analysis.components, lambda x: x > 0, "q", "components", 1),
+    "gmin_gt": _shortest_run(analysis.gaps, lambda x: x == 0, "p", "gaps", 0),
     "tmax_ge": StatisticDef(
         holds=lambda prop, c: analysis.extremes(c).tmax >= prop.params["r"],
         holds_batch=lambda prop, x: (x >= prop.params["r"]).any(axis=1),
         needs="r",
+        # the one-term upper pattern [r]; [0] for r <= 0 matches every term
+        oracle_form=lambda prop: PatternSpec(PatternKind.UPPER, ((max(prop.params["r"], 0),),)),
         scaling=lambda prop: Scaling("p", prop.params["r"], f"terms >= {prop.params['r']}")),
     "tmin_ge": StatisticDef(
         holds=lambda prop, c: analysis.extremes(c).tmin >= prop.params["r"],
         holds_batch=lambda prop, x: (x >= prop.params["r"]).all(axis=1),
         needs="r",
+        oracle_form=_tmin_form,
         scaling=lambda prop: Scaling("q", 1, f"terms < {prop.params['r']}",
                                      coefficient=prop.params["r"])),
     "equal_run": StatisticDef(
@@ -272,6 +328,7 @@ STATISTICS: dict[str, StatisticDef] = {
             c, nonzero_only=prop.params.get("nonzero", True)).longest >= prop.params["k"],
         holds_batch=_equal_run_batch,
         needs="k",
+        oracle_form=_equal_run_form,
         scaling=_equal_run_scaling),
     "equal_terms": StatisticDef(
         holds=lambda prop, c: analysis.max_multiplicity(c) >= prop.params["k"],
@@ -287,6 +344,7 @@ STATISTICS: dict[str, StatisticDef] = {
     "carlitz": StatisticDef(
         holds=lambda prop, c: analysis.is_carlitz(c),
         holds_batch=lambda prop, x: (x[:, 1:] != x[:, :-1]).all(axis=1),
+        oracle_form=_carlitz_form,
         scaling=lambda prop: Scaling("q", 1, "adjacent equal terms (Carlitz iff none occur)",
                                      coefficient=0.5)),
     "increasing_run": StatisticDef(
@@ -300,12 +358,14 @@ STATISTICS: dict[str, StatisticDef] = {
         holds_batch=lambda prop, x: _has_true_run(x == prop.params["k"], prop.params["k"]),
         # a 0-square has no defined meaning: holds and holds_batch would disagree
         needs="k", minimum=1,
+        # a k-square is a run of k terms equal to k: the exact pattern k^k
+        oracle_form=lambda prop: PatternSpec(PatternKind.EXACT,
+                                             ((prop.params["k"],) * prop.params["k"],)),
         threshold=lambda prop, n: theory.square_threshold(n, prop.params.get("c", 0.0))),
     "any_square": StatisticDef(
         holds=lambda prop, c: analysis.largest_square(c) >= prop.params.get("min_k", 1),
         holds_batch=_any_square_batch,
-        # the oracle's automaton asks for a square of side >= 1 only
-        oracle_form=lambda prop: _named_form(prop) if prop.params.get("min_k", 1) == 1 else None),
+        oracle_form=_any_square_form),
 }
 
 

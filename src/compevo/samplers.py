@@ -112,6 +112,14 @@ def sample_uniform_bars(n: int, m: int, rng: RngStream) -> Composition:
     return Composition(_bars_to_terms(bars, n, m))
 
 
+def check_urn(n: int, m: int) -> None:
+    """``check_uniform``, and that uniform_bars_batch can draw (n, m): its
+    largest token count, m + n - 1, must fit in int64."""
+    check_uniform(n, m)
+    if m + n - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"need m + n - 1 < 2**63, got n={n}, m={m}")
+
+
 def uniform_bars_batch(n: int, m: int, count: int, rng: RngStream) -> np.ndarray:
     """(count, n) matrix of independent uniform compositions of m.
 
@@ -122,7 +130,7 @@ def uniform_bars_batch(n: int, m: int, count: int, rng: RngStream) -> np.ndarray
     k balls the boxes are a uniform multiset.  k steps, each vectorized over
     the rows; scratch memory is O(count k).
     """
-    check_uniform(n, m)
+    check_urn(n, m)
     stars = m < n - 1
     k, boxes = (m, n) if stars else (n - 1, m + 1)
     # int32 halves the memory traffic and sorts faster than int64

@@ -175,10 +175,10 @@ def prob_tmax_lt(n: int, p: float, r: int) -> TheoryPrediction:
 
 
 def prob_tmin_ge(n: int, p: float, r: int) -> TheoryPrediction:
-    """P(smallest term >= r) = (1 - q)**(r*n) = p**(r*n), exact."""
+    """P(smallest term >= r) = (1 - q)**(r*n) = p**(r*n), exact; 1 for r <= 0."""
     check_geometric(n, p)
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    if r <= 0:
+        return TheoryPrediction(1.0, "probability")
     if p == 0.0:
         return TheoryPrediction(0.0, "probability")
     return TheoryPrediction(exp(r * n * log(p)), "probability")
@@ -314,19 +314,3 @@ def square_threshold(n: int, c: float = 0.0) -> TheoryPrediction:
     return TheoryPrediction(k_star, "threshold_location", exact=False,
                             regime="largest square side; seen when m ~ n log n/log log n",
                             details={"param": "k", "m_star": n * ln / lln})
-
-
-def square_regime_evaluator(n: int, theta: float, c: float) -> dict:
-    """log E[X] and log R for the k-square count at the coalescing scale.
-
-    q = theta*log log n/log n and k = ``square_threshold(n, c).value``, so n
-    must be at least 3.  A diagnostic evaluator only: no finite n is
-    in-regime, so no pass/fail judgement is attached.
-    """
-    k = square_threshold(n, c).value
-    ln = log(n)
-    q = theta * log(ln) / ln
-    logp = log1p(-q)
-    log_ex = log(max(n + 1 - k, 1)) + k * log(q) + k * k * logp
-    log_r = log(k) - log(n) + (1 - k) * log(q) + (k - k * k) * logp
-    return {"q": q, "k": k, "log_mean_count": log_ex, "log_second_moment_ratio": log_r}

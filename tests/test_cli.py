@@ -114,6 +114,21 @@ def test_invalid_model_point_is_one_error_line(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, key", [
+    # the misspelled key was ignored: n = 10^4 answered, and nonzero stayed true
+    ("theory threshold cmax_ge k=2 N=100", "N"),
+    ("oracle geometric n=20 p=0.5 --statistic equal_run k=2 nonzer=0", "nonzer"),
+    ("theory poisson cmax_ge k=2 alfa=2", "alfa"),
+    ("sample --geometric n=5 p=0.5 k=2", "k"),
+    ("oracle count n=3 m=2 mm=2", "mm"),
+])
+def test_unknown_key_is_one_error_line(capsys, argv, key):
+    assert run_cli(*shlex.split(argv)) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown parameter {key!r}; expected one of ")
+    assert err.count("\n") == 1
+
+
 # -- stats -------------------------------------------------------------------
 
 def test_stats_output():

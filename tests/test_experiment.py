@@ -72,6 +72,14 @@ def test_config_validation_errors():
         _config(grid={"n": 0, "m_exponents": [-0.5]}, **uniform)
     with pytest.raises(ValueError, match=r"grid point \(n=50, p=-0.1\)"):
         _config(grid=[{"n": 50, "p": 0.1}, {"n": 50, "p": -0.1}])
+    # m + n - 1 beyond int64 failed only inside the first chunk, in the urn's draw
+    with pytest.raises(ValueError,
+                       match=r"grid point \(n=100, m=10+, alpha=1000.0\): need m \+ n - 1 < 2"):
+        _config(grid={"n": 100, "m_exponents": [1000]}, **uniform)
+    with pytest.raises(ValueError, match=r"grid point \(n=100, m=9223372036854775808\)"):
+        _config(grid=[{"n": 100, "m": 2 ** 63}], **uniform)
+    with pytest.raises(ValueError, match="grid n=100: n\\^c overflows"):
+        _config(grid={"n": 100, "m_exponents": [1000.0]}, **uniform)
     with pytest.raises(ValueError, match=r"grid point \(n=50, p=1.0\)"):
         _config(grid=[{"n": 50, "p": 1.0}])
     with pytest.raises(ValueError, match=r"grid point \(n=0, p=0.1\)"):

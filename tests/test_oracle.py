@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from compevo import theory
-from compevo.core import GuardExceeded, UnsupportedProperty
-from compevo.oracle import (DEFAULT_WIDTH, GEOMETRIC_FORMS,
-                            exact_prob_geometric_consecutive, exact_prob_uniform,
-                            iter_uniform, negbin_log_pmf, window_prob_geometric)
+from compevo.core import GuardExceeded, PatternKind, UnsupportedProperty
+from compevo.oracle import (DEFAULT_WIDTH, exact_prob_geometric_consecutive,
+                            exact_prob_uniform, iter_uniform, negbin_log_pmf,
+                            window_prob_geometric)
 from compevo.patterns import parse_pattern
-from compevo.properties import Property
+from compevo.properties import STATISTICS, Property
 from conftest import PROPERTIES
 
 GOLDEN = Path(__file__).parent / "golden_uniform.json"
@@ -79,10 +79,11 @@ def test_run_dp_against_brute_force(statistic, params):
 
 
 def test_every_geometric_oracle_brackets_brute_force():
-    # every id of GEOMETRIC_FORMS and each consecutive e/u/l pattern row;
-    # brute force misses the mass of terms above V, at most n * p^(V+1)
+    # every row with an oracle form, the consecutive e/u/l pattern rows among
+    # them; brute force misses the mass of terms above V, at most n * p^(V+1)
     props = [prop for prop in PROPERTIES if prop.oracle_form() is not None]
-    assert set(GEOMETRIC_FORMS) <= {prop.statistic_id for prop in props}
+    assert ({sid for sid, row in STATISTICS.items() if row.oracle_form is not None}
+            <= {prop.statistic_id for prop in props})
     for n, p in [(3, 0.5), (4, 0.3)]:
         tail = n * p ** 26
         for prop in props:
@@ -102,6 +103,25 @@ def test_pattern_dp_against_brute_force(text):
         ref = _brute_geometric(n, p, Property("contains", spec=spec), V=30)
         assert res.lo == pytest.approx(ref, abs=1e-7)
         assert res.width == 0.0
+
+
+def test_named_statistic_is_its_row_form():
+    # an (id, params) pair names a Property, whose row gives the form
+    for prop in PROPERTIES:
+        if prop.oracle_form() is None:
+            continue
+        params = {**prop.params, **({"spec": prop.spec} if prop.spec else {})}
+        for n, p in [(5, 0.3), (12, 0.7)]:
+            assert (exact_prob_geometric_consecutive(n, p, (prop.statistic_id, params))
+                    == exact_prob_geometric_consecutive(n, p, prop.oracle_form())), prop
+
+
+def test_named_statistic_meets_the_row_checks():
+    # min_k = 2 answered as min_k = 1, and a missing k raised a bare KeyError
+    with pytest.raises(UnsupportedProperty, match="no geometric-model oracle"):
+        exact_prob_geometric_consecutive(20, 0.5, ("any_square", {"min_k": 2}))
+    with pytest.raises(ValueError, match="needs parameter 'k'"):
+        exact_prob_geometric_consecutive(20, 0.5, ("cmax_ge", {}))
 
 
 def test_geometric_oracle_needs_a_term():
@@ -145,8 +165,8 @@ def test_interval_width_shrinks_with_cap():
 
 
 def test_closed_forms_match_dp():
-    # tmax via the oracle's automaton (the pattern u:[r]) and tmin via its
-    # closed form equal the theory module formulas
+    # tmax via the pattern u:[r] and tmin via the complement of l:[r - 1]
+    # equal the theory module formulas
     res = exact_prob_geometric_consecutive(10, 0.4, ("tmax_ge", {"r": 2}))
     assert res.lo == pytest.approx(1 - theory.prob_tmax_lt(10, 0.4, 2).value)
     n, p = 2 * 10 ** 4, 0.05
@@ -155,8 +175,10 @@ def test_closed_forms_match_dp():
     res = exact_prob_geometric_consecutive(n, p, ("tmax_ge", {"r": 3}))
     assert res.width == 0.0
     assert abs(res.lo - (1 - theory.prob_tmax_lt(n, p, 3).value)) <= 1e-12
-    res = exact_prob_geometric_consecutive(5, 0.7, ("tmin_ge", {"r": 2}))
-    assert res.lo == pytest.approx(theory.prob_tmin_ge(5, 0.7, 2).value)
+    for r in (0, 1, 2):  # r = 0 always holds: the pattern u:[0]
+        res = exact_prob_geometric_consecutive(5, 0.7, ("tmin_ge", {"r": r}))
+        assert res.width == 0.0
+        assert abs(res.lo - theory.prob_tmin_ge(5, 0.7, r).value) <= 1e-12
 
 
 def test_square_statistic_via_pattern():
@@ -264,10 +286,14 @@ def test_unsupported_properties():
 
 
 def test_window_enumeration_matches_formulas():
+    # e/u/l windows come from the prefix-set automaton, exact; the value-tuple
+    # grid took 0.25 s for e:[2,0,2] at p = 0.9 and refused e:[1,1,1,1]
     for text, p in [("e:[2,0,2]", 0.5), ("o:[0,1,2]", 0.5), ("o:[0,1,0]", 0.3),
-                    ("u:[1,1]", 0.4), ("l:[0,2]", 0.6)]:
+                    ("u:[1,1]", 0.4), ("l:[0,2]", 0.6), ("e:[2,0,2]", 0.9),
+                    ("e:[1,1,1,1]", 0.9)]:
         spec = parse_pattern(text)
         res = window_prob_geometric(spec, p)
+        assert res.width == 0.0 or spec.kind is PatternKind.ORDERING
         if text.startswith("e"):
             want = theory.prob_exact_consecutive_at_position(spec, p).value
         elif text.startswith("o"):

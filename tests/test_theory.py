@@ -214,9 +214,6 @@ def test_square_heuristic_monotone():
     k5 = theory.square_threshold(10 ** 5).value
     k9 = theory.square_threshold(10 ** 9).value
     assert k9 > k5 > 1
-    out = theory.square_regime_evaluator(10 ** 6, theta=1.0, c=0.5)
-    assert set(out) == {"q", "k", "log_mean_count", "log_second_moment_ratio"}
-    assert 0 < out["q"] < 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -232,15 +229,3 @@ def test_threshold_location_needs_n_at_least_2(n):
     # m* = n p*/q*, and n = -4 gave a complex p*
     with pytest.raises(ValueError, match="need n >= 2"):
         theory.threshold_location("cmax_ge", {"k": 2}, n)
-
-
-@pytest.mark.parametrize("n", [3, 10])
-def test_square_regime_evaluator_takes_k_from_square_threshold(n):
-    # n = 3 raised a math domain error; at n = 10 the side was 2.46, not 2.76
-    out = theory.square_regime_evaluator(n, theta=1.0, c=0.5)
-    assert out["k"] == theory.square_threshold(n, 0.5).value
-
-
-def test_square_regime_evaluator_needs_n_at_least_3():
-    with pytest.raises(ValueError, match="need n >= 3"):
-        theory.square_regime_evaluator(2, theta=1.0, c=0.5)
