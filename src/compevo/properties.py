@@ -2,7 +2,8 @@
 
 ``STATISTICS`` maps each id to its one ``StatisticDef`` row:
 
-* the parameter it cannot be decided without (``"spec"`` for patterns);
+* the parameter it cannot be decided without (``"spec"`` for patterns) and
+  every parameter key it reads; ``Property`` refuses any other key;
 * a scalar predicate on one composition, the slow reference route that the
   enumeration oracle and the brute-force cross-checks use;
 * a vectorized predicate on a (trials, n) sample matrix, the Monte Carlo
@@ -37,6 +38,7 @@ class StatisticDef:
 
     holds: Callable[[Property, object], bool]
     holds_batch: Callable[[Property, np.ndarray], np.ndarray]
+    keys: tuple[str, ...]  # every parameter key it reads, ``needs`` included
     needs: str | None = None  # the parameter it cannot be decided without
     minimum: int | None = None  # the least value ``needs`` may take
     kind: PatternKind | None = None  # consecutive patterns of this kind only
@@ -56,6 +58,12 @@ class Property:
         sid, row = self.statistic_id, STATISTICS.get(self.statistic_id)
         if row is None:
             raise UnsupportedProperty(f"unknown statistic id {sid!r}")
+        # a "spec" of None is the field's default, which every row accepts
+        unknown = sorted(key for key in self.params if key not in row.keys
+                         and not (key == "spec" and self.params[key] is None))
+        if unknown:
+            raise ValueError(f"statistic {sid!r} takes no parameter "
+                             f"{', '.join(map(repr, unknown))}; it takes {list(row.keys)}")
         if row.needs == "spec":
             object.__setattr__(self, "spec", _pattern_param(self, row.kind))
         elif row.needs is not None:
@@ -119,7 +127,8 @@ def _consecutive_form(prop: Property):
 
 def _pattern_row(kind: PatternKind | None, scaling=None) -> StatisticDef:
     return StatisticDef(holds=lambda prop, c: patterns.match(c, prop.spec).exists,
-                        holds_batch=_pattern_batch, needs="spec", kind=kind,
+                        holds_batch=_pattern_batch, keys=("spec", "side"),
+                        needs="spec", kind=kind,
                         oracle_form=None if kind is PatternKind.ORDERING else _consecutive_form,
                         scaling=scaling)
 
@@ -272,6 +281,7 @@ def _longest_run(report, mask, param: str, what: str, form) -> StatisticDef:
     return StatisticDef(
         holds=lambda prop, c: report(c).longest >= prop.params["k"],
         holds_batch=lambda prop, x: _has_true_run(mask(x), prop.params["k"]),
+        keys=("k", "side"),
         needs="k",
         oracle_form=form,
         scaling=lambda prop: Scaling(param, prop.params["k"],
@@ -287,6 +297,7 @@ def _shortest_run(report, mask, param: str, what: str, run_class: int) -> Statis
     return StatisticDef(
         holds=holds,
         holds_batch=lambda prop, x: _min_run_gt(mask(x), prop.params["k"]),
+        keys=("k", "side"),
         needs="k",
         oracle_form=lambda prop: lambda n, p, width: oracle.shortest_run_prob(
             n, p, prop.params["k"], run_class),
@@ -312,6 +323,7 @@ STATISTICS: dict[str, StatisticDef] = {
     "tmax_ge": StatisticDef(
         holds=lambda prop, c: analysis.extremes(c).tmax >= prop.params["r"],
         holds_batch=lambda prop, x: (x >= prop.params["r"]).any(axis=1),
+        keys=("r", "side"),
         needs="r",
         # the one-term upper pattern [r]; [0] for r <= 0 matches every term
         oracle_form=lambda prop: PatternSpec(PatternKind.UPPER, ((max(prop.params["r"], 0),),)),
@@ -319,6 +331,7 @@ STATISTICS: dict[str, StatisticDef] = {
     "tmin_ge": StatisticDef(
         holds=lambda prop, c: analysis.extremes(c).tmin >= prop.params["r"],
         holds_batch=lambda prop, x: (x >= prop.params["r"]).all(axis=1),
+        keys=("r", "side"),
         needs="r",
         oracle_form=_tmin_form,
         scaling=lambda prop: Scaling("q", 1, f"terms < {prop.params['r']}",
@@ -327,12 +340,14 @@ STATISTICS: dict[str, StatisticDef] = {
         holds=lambda prop, c: analysis.equal_runs(
             c, nonzero_only=prop.params.get("nonzero", True)).longest >= prop.params["k"],
         holds_batch=_equal_run_batch,
+        keys=("k", "nonzero", "side"),
         needs="k",
         oracle_form=_equal_run_form,
         scaling=_equal_run_scaling),
     "equal_terms": StatisticDef(
         holds=lambda prop, c: analysis.max_multiplicity(c) >= prop.params["k"],
         holds_batch=_equal_terms_batch,
+        keys=("k", "side"),
         needs="k",
         # k-tuples of equal terms anywhere: about n^k q^(k-1) / (k k!) of them
         # (k < 1 has no threshold, and theory refuses it by its power)
@@ -344,18 +359,21 @@ STATISTICS: dict[str, StatisticDef] = {
     "carlitz": StatisticDef(
         holds=lambda prop, c: analysis.is_carlitz(c),
         holds_batch=lambda prop, x: (x[:, 1:] != x[:, :-1]).all(axis=1),
+        keys=("side",),
         oracle_form=_carlitz_form,
         scaling=lambda prop: Scaling("q", 1, "adjacent equal terms (Carlitz iff none occur)",
                                      coefficient=0.5)),
     "increasing_run": StatisticDef(
         holds=lambda prop, c: analysis.longest_increasing_run(c) >= prop.params["k"],
         holds_batch=_increasing_run_batch,
+        keys=("k", "side"),
         needs="k",
         scaling=lambda prop: Scaling("p", prop.params["k"] * (prop.params["k"] - 1) // 2,
                                      f"increasing runs of length {prop.params['k']}")),
     "square": StatisticDef(
         holds=_square_holds,
         holds_batch=lambda prop, x: _has_true_run(x == prop.params["k"], prop.params["k"]),
+        keys=("k", "c"),
         # a 0-square has no defined meaning: holds and holds_batch would disagree
         needs="k", minimum=1,
         # a k-square is a run of k terms equal to k: the exact pattern k^k
@@ -365,6 +383,7 @@ STATISTICS: dict[str, StatisticDef] = {
     "any_square": StatisticDef(
         holds=lambda prop, c: analysis.largest_square(c) >= prop.params.get("min_k", 1),
         holds_batch=_any_square_batch,
+        keys=("min_k",),
         oracle_form=_any_square_form),
 }
 
@@ -414,22 +433,21 @@ def _anchor_mask(samples: np.ndarray, kind: PatternKind,
     """
     k = len(block)
     w = samples.shape[1] - k + 1
-    acc = np.ones((samples.shape[0], w), dtype=bool)
+
+    def window(j):
+        return samples[:, j : j + w]
+
     if kind is PatternKind.ORDERING:
-        # compare the terms directly: a difference would wrap for unsigned dtypes
-        for a in range(k):
-            for b in range(a + 1, k):
-                x, y = samples[:, a : a + w], samples[:, b : b + w]
-                acc &= x < y if block[a] < block[b] else x > y if block[a] > block[b] else x == y
+        # compare the terms directly: a difference would wrap for narrow or unsigned dtypes
+        tests = (patterns.relation(block[a], block[b])(window(a), window(b))
+                 for a in range(k) for b in range(a + 1, k))
     else:
-        for j, r in enumerate(block):
-            col = samples[:, j : j + w]
-            if kind is PatternKind.EXACT:
-                acc &= col == r
-            elif kind is PatternKind.UPPER:
-                acc &= col >= r
-            else:
-                acc &= col <= r
+        tests = (patterns.COMPARE[kind](window(j), r) for j, r in enumerate(block))
+    acc = next(tests, None)
+    if acc is None:  # a one-term ordering block matches at every anchor
+        return np.ones((samples.shape[0], w), dtype=bool)
+    for test in tests:
+        acc &= test
     return acc
 
 

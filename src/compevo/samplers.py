@@ -16,7 +16,10 @@ Three models plus the coupling bridge:
   composition with parameter p1 into one with parameter p2.
 
 All samplers are pure given an RngStream.  Batch variants return a
-(count, n) matrix and are the fast path for Monte Carlo work.  Every sampler
+(count, n) matrix and are the fast path for Monte Carlo work.  Its dtype is
+the narrowest signed integer type (int8, int16, int32 or int64) that holds
+its largest term, so it depends on the draw; a ``Composition`` built from a
+row stores int64 as always.  Every sampler
 first refuses an invalid model point through ``core.check_uniform`` or
 ``core.check_geometric`` (both bridge parameters are geometric points; the
 conditioned sampler checks (n, p) and its target (n, m)).
@@ -33,13 +36,22 @@ from .rng import RngStream
 
 
 # Below this p the sparse draw is faster. Median ns per term, inverse CDF /
-# sparse, numpy 2.4.6 on a 2-core x86-64 host:
-#   (4096, 2500):  p=0.1 20.1/6.5  p=0.2 20.7/11.3  p=0.25 18.9/15.3  p=0.3 20.9/20.2
-#   (4096, 200):   p=0.1 10.7/4.9  p=0.2 10.6/9.9   p=0.25 10.4/12.3  p=0.3  9.1/13.3
-#   (10**5, 1):    p=0.1  9.7/4.8  p=0.2  9.9/9.6   p=0.25 10.1/12.2  p=0.3  9.9/17.0
+# sparse, narrow int8 output, numpy 2.4.6 on a 2-core x86-64 host:
+#   (4096, 2500):  p=0.1 13.1/6.0  p=0.2 12.5/11.2  p=0.25 12.6/14.3  p=0.3 15.1/20.4
+#   (4096, 200):   p=0.1 10.0/4.7  p=0.2 10.2/10.4  p=0.25 10.1/11.8  p=0.3  9.4/17.6
+#   (10**5, 1):    p=0.1 11.8/5.4  p=0.2 12.0/9.5   p=0.25 12.0/14.3  p=0.3 12.3/19.5
 # The sparse cost grows with p and the inverse-CDF cost does not, so the
-# crossover is p ~ 0.2 for cache-sized matrices and ~0.3 for large ones.
+# crossover is p ~ 0.2-0.25 for every shape.  Moving the cut would change
+# the draws of every p between the old and the new cut.
 SPARSE_BELOW = 0.2
+
+
+def _term_dtype(largest: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds every term in [0, largest]."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if largest <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def _sparse_geometric_terms(shape: tuple[int, ...], p: float, gen: np.random.Generator) -> np.ndarray:
@@ -61,23 +73,33 @@ def _sparse_geometric_terms(shape: tuple[int, ...], p: float, gen: np.random.Gen
         reach = int(positions[-1]) + 1
     positions = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     positions = positions[:np.searchsorted(positions, total)]
-    out = np.zeros(total, dtype=np.int64)
-    out[positions] = gen.geometric(1.0 - p, size=positions.size)
+    values = gen.geometric(1.0 - p, size=positions.size)
+    out = np.zeros(total, dtype=_term_dtype(int(values.max(initial=0))))
+    out[positions] = values
     return out.reshape(shape)
 
 
 def geometric_terms(n: int, p: float, rng: RngStream, count: int | None = None) -> np.ndarray:
-    """i.i.d. geometric terms; shape (n,) or (count, n)."""
+    """i.i.d. geometric terms; shape (n,) or (count, n).
+
+    The dtype is the narrowest signed integer type that holds the largest
+    term drawn; int8 at p = 0.
+    """
     check_geometric(n, p)
     shape = (n,) if count is None else (count, n)
     if p == 0.0:
-        return np.zeros(shape, dtype=np.int64)
+        return np.zeros(shape, dtype=np.int8)
     if p < SPARSE_BELOW:
         return _sparse_geometric_terms(shape, p, rng.generator)
     u = rng.generator.random(shape)
     # 1-u is in (0, 1], so the log is finite; floor(log(U)/log(p)) is the
-    # inverse CDF of P(term = k) = q p^k.
-    return np.floor(np.log1p(-u) / math.log(p)).astype(np.int64)
+    # inverse CDF of P(term = k) = q p^k.  Each step writes into u, which
+    # leaves the same bytes as the expression with its temporaries.
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.divide(u, math.log(p), out=u)
+    np.floor(u, out=u)
+    return u.astype(_term_dtype(int(u.max(initial=0))))
 
 
 def sample_geometric(n: int, p: float, rng: RngStream) -> Composition:
@@ -128,28 +150,32 @@ def uniform_bars_batch(n: int, m: int, count: int, rng: RngStream) -> np.ndarray
     bars into the N = m+1 gaps around the m stars.  Ball t picks one of N + t
     tokens; a pick j >= N copies the box of ball j - N of the same row.  After
     k balls the boxes are a uniform multiset.  k steps, each vectorized over
-    the rows; scratch memory is O(count k).
+    the rows; scratch memory is O(count k).  No term exceeds m, so the dtype
+    is the narrowest signed integer type that holds m.
     """
     check_urn(n, m)
     stars = m < n - 1
     k, boxes = (m, n) if stars else (n - 1, m + 1)
     # int32 halves the memory traffic and sorts faster than int64
-    dtype = np.int32 if boxes + k <= np.iinfo(np.int32).max else np.int64
+    token = np.int32 if boxes + k <= np.iinfo(np.int32).max else np.int64
+    out = np.zeros((count, n), dtype=_term_dtype(m))
+    cells = out.ravel()
+    row_start = np.arange(count) * n
     gen = rng.generator
-    balls = np.empty((k, count), dtype=dtype)  # ball-major: row t is ball t of every draw
+    balls = np.empty((k, count), dtype=token)  # ball-major: row t is ball t of every draw
     flat = balls.ravel()
     for t in range(k):
-        pick = gen.integers(0, boxes + t, size=count, dtype=dtype)
+        pick = gen.integers(0, boxes + t, size=count, dtype=token)
         copy = np.flatnonzero(pick >= boxes)
         pick[copy] = flat[(pick[copy] - boxes).astype(np.intp) * count + copy]
         balls[t] = pick
+        if stars:  # one ball per row, so the cells are distinct
+            cells[row_start + pick] += 1
     if stars:
-        cells = balls + np.arange(count) * n
-        return np.bincount(cells.ravel(), minlength=count * n).reshape(count, n)
+        return out
     # bars after g_1 <= ... <= g_k stars give the terms g_1, diff(g), m - g_k
     gaps = np.ascontiguousarray(balls.T)
     gaps.sort(axis=1)
-    out = np.empty((count, n), dtype=np.int64)
     out[:, :-1] = gaps
     out[:, -1] = m
     out[:, 1:] -= gaps
@@ -197,7 +223,8 @@ def bridge_terms(n: int, p1: float, p2: float, rng: RngStream, count: int | None
     # conditioned on being nonzero the law is 1 + geometric(1-p2)
     nonzero = u >= q2 / q1
     tail = 1 + np.floor(np.log1p(-v) / math.log(p2)).astype(np.int64)
-    return np.where(nonzero, tail, 0)
+    terms = np.where(nonzero, tail, 0)
+    return terms.astype(_term_dtype(int(terms.max(initial=0))))
 
 
 def sample_bridge(n: int, p1: float, p2: float, rng: RngStream) -> Composition:

@@ -61,6 +61,8 @@ def test_config_validation_errors():
                 property={"statistic": "contains", "pattern": "u:[1,1]"})
     with pytest.raises(ValueError, match="needs parameter 'k'"):
         _config(property={"statistic": "cmax_ge"})
+    with pytest.raises(ValueError, match="takes no parameter 'nonzer'"):
+        _config(property={"statistic": "equal_run", "params": {"k": 2, "nonzer": False}})
     with pytest.raises(ValueError, match="unknown theory keys"):
         _config(theory={"poisson": "some", "bogus": 1})
     uniform = {"model": "uniform", "property": {"statistic": "contains", "pattern": "u:[1,1]"}}

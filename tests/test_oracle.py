@@ -117,11 +117,14 @@ def test_named_statistic_is_its_row_form():
 
 
 def test_named_statistic_meets_the_row_checks():
-    # min_k = 2 answered as min_k = 1, and a missing k raised a bare KeyError
+    # min_k = 2 answered as min_k = 1, a missing k raised a bare KeyError, and
+    # an unknown key was dropped
     with pytest.raises(UnsupportedProperty, match="no geometric-model oracle"):
         exact_prob_geometric_consecutive(20, 0.5, ("any_square", {"min_k": 2}))
     with pytest.raises(ValueError, match="needs parameter 'k'"):
         exact_prob_geometric_consecutive(20, 0.5, ("cmax_ge", {}))
+    with pytest.raises(ValueError, match="takes no parameter 'kk'"):
+        exact_prob_geometric_consecutive(10, 0.3, ("cmax_ge", {"k": 2, "kk": 5}))
 
 
 def test_geometric_oracle_needs_a_term():

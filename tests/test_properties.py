@@ -59,16 +59,27 @@ EDGE_SHAPES = [
     [[0]], [[1]], [[2]], [[5]],                      # n = 1
     [[0, 0, 0, 0, 0, 0]],                            # all zeros
     [[2 ** 40, 1, 0, 2 ** 40 + 1, 2]],               # large terms
+    [[127, 127, 0, 126, 1, 127]],                    # at the int8 maximum
+    [[32767, 32767, 1, 32766, 0, 2]],                # at the int16 maximum
     # e:1,[0,2] with the blocks adjacent, with a gap, and in the wrong order
     [[1, 0, 2, 0, 0, 1], [1, 2, 2, 0, 0, 2], [0, 2, 1, 0, 0, 1]],
 ]
 
 
-@pytest.mark.parametrize("rows", [np.array(r, dtype=np.int64) for r in EDGE_SHAPES] + [
-    # unsigned copies of the rows whose terms fit: a difference of two terms wraps
-    np.array(r, dtype=np.uint16) for r in EDGE_SHAPES if max(map(max, r)) < 2 ** 16])
+# parameters past the narrow dtypes' range: a comparison must not wrap them
+WIDE = [Property("tmax_ge", {"r": 1000}), Property("tmin_ge", {"r": 40000}),
+        Property("square", {"k": 300}), Property("equal_terms", {"k": 200}),
+        Property("contains", spec="u:[200]"), Property("contains", spec="e:[40000,1]"),
+        Property("contains", spec="l:[1000],127")]
+
+
+# the samplers return the narrowest signed dtype that holds their terms; the
+# unsigned copies check that no route takes a difference of two terms, which wraps
+@pytest.mark.parametrize("rows", [
+    np.array(r, dtype=dtype) for dtype in (np.int64, np.int8, np.int16, np.uint16)
+    for r in EDGE_SHAPES if max(map(max, r)) <= np.iinfo(dtype).max])
 def test_routes_agree_on_edge_shapes(rows):
-    for prop in PROPERTIES:
+    for prop in PROPERTIES + WIDE:
         _assert_routes_agree(prop, rows)
 
 
@@ -98,6 +109,14 @@ def test_missing_parameter_fails_at_construction(sid, need):
     # without the check the first holds_batch call dies with a bare KeyError
     with pytest.raises(ValueError, match=f"needs parameter '{need}'"):
         Property(sid, {})
+
+
+@pytest.mark.parametrize("sid", sorted(STATISTICS))
+def test_unknown_parameter_fails_at_construction(sid):
+    # a misspelled key would otherwise be dropped and its default used
+    assert STATISTICS[sid].needs in (None, *STATISTICS[sid].keys)
+    with pytest.raises(ValueError, match="takes no parameter 'bogus'"):
+        Property(sid, {"bogus": 1})
 
 
 def test_holds_on_a_term_beyond_int64():

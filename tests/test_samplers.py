@@ -112,8 +112,9 @@ def test_sparse_reproducibility_bitwise():
 @pytest.mark.parametrize("n, count, shape", [(7, None, (7,)), (7, 0, (0, 7)),
                                              (1, 500, (500, 1)), (1, None, (1,))])
 def test_sparse_shapes(n, count, shape):
+    # a term of 128 has probability P_SPARSE**128, so every draw fits int8
     out = geometric_terms(n, P_SPARSE, RngStream(44), count=count)
-    assert out.shape == shape and out.dtype == np.int64 and np.all(out >= 0)
+    assert out.shape == shape and out.dtype == np.int8 and np.all(out >= 0)
 
 
 def test_sparse_positions_span_gap_blocks():
@@ -194,11 +195,41 @@ def test_uniform_batch_stars_branch_law(n, m, seed):
 
 @pytest.mark.parametrize("n, m, count", [(10, 10 ** 5, 500), (7, 0, 50), (1, 9, 50),
                                          (1, 0, 5), (5, 3, 0), (3, 5, 0),
-                                         (3, 2 ** 31, 100)])  # past int32
+                                         (3, 2 ** 31, 100),  # past int32
+                                         # m at each edge of a dtype, on both branches
+                                         (2, 127, 50), (200, 127, 50), (2, 128, 50),
+                                         (2, 2 ** 15 - 1, 50), (2, 2 ** 15, 50),
+                                         (2, 2 ** 31 - 1, 50)])
 def test_uniform_batch_shapes(n, m, count):
+    # no term exceeds m: the dtype is the narrowest signed one that holds m,
+    # which is the one that holds -1 - m; the sums check that no term wrapped
     out = uniform_bars_batch(n, m, count, RngStream(53))
-    assert out.shape == (count, n) and out.dtype == np.int64
-    assert np.all(out >= 0) and np.all(out.sum(axis=1) == m)
+    assert out.shape == (count, n) and out.dtype == np.min_scalar_type(-1 - m)
+    assert np.all(out >= 0) and np.all(out.sum(axis=1, dtype=np.int64) == m)
+
+
+# Rows drawn by the int64 samplers, before their output dtype was narrowed.
+# Narrowing the output must leave every draw as it was.
+PINNED = {
+    "stars": (lambda: uniform_bars_batch(6, 3, 4, RngStream(61)),
+              [[1, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 2], [0, 0, 1, 1, 0, 1], [0, 2, 0, 0, 1, 0]]),
+    "bars": (lambda: uniform_bars_batch(4, 9, 4, RngStream(62)),
+             [[2, 3, 2, 2], [1, 4, 4, 0], [0, 6, 0, 3], [0, 5, 2, 2]]),
+    "sparse": (lambda: geometric_terms(12, 0.05, RngStream(89), count=3),
+               [[0] * 11 + [1], [0, 0, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0], [0] * 12]),
+    "dense": (lambda: geometric_terms(6, 0.5, RngStream(64), count=4),
+              [[1, 6, 0, 1, 0, 0], [0, 2, 0, 0, 0, 2], [0, 3, 0, 2, 0, 0], [0, 2, 1, 0, 1, 1]]),
+    "p=0": (lambda: geometric_terms(3, 0.0, RngStream(65), count=2), [[0, 0, 0], [0, 0, 0]]),
+    "bridge": (lambda: bridge_terms(6, 0.2, 0.5, RngStream(66), count=3),
+               [[3, 1, 4, 0, 0, 0], [0, 3, 0, 0, 0, 0], [0, 0, 0, 4, 2, 0]]),
+}
+
+
+@pytest.mark.parametrize("branch", PINNED)
+def test_pinned_draws(branch):
+    draw, rows = PINNED[branch]
+    out = draw()
+    assert out.dtype == np.int8 and out.tolist() == rows
 
 
 def test_uniform_batch_validation():
