@@ -2,8 +2,10 @@
 
 Subcommands: sample, stats, match, theory, sweep, render, oracle.
 Exit codes: 0 success, 1 usage error, 2 guard exceeded or unsupported
-property.  Model parameters are given as key=value tokens, e.g.
-``compevo sample --geometric n=100 p=0.5 --count 3``.
+property.  Model and statistic parameters are given as key=value tokens, e.g.
+``compevo sample --geometric n=100 p=0.5 --count 3``.  Each request takes
+exactly its own keys, with the types of ``TYPES``: its model's, its
+statistic row's, and ``alpha`` or ``n`` for ``theory poisson``/``threshold``.
 
 Compositions are accepted as comma-separated terms ("1,12,0,3") or, when
 every term is a single digit, as a bare digit string ("0212").
@@ -15,13 +17,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
 
 from . import analysis, oracle, render, theory
-from .core import (ChunkError, Composition, GuardExceeded, UnsupportedProperty,
-                   count_compositions)
+from .core import (ChunkError, Composition, GuardExceeded, PatternSpec,
+                   UnsupportedProperty, count_compositions)
 from .patterns import PatternSyntaxError, match, parse_pattern
-from .properties import Property
+from .properties import PARAMS, REQUIRED, Property, lookup
 from .rng import RngStream
 from .samplers import sample_geometric, sample_uniform_bars, sample_uniform_chain
 
@@ -57,39 +58,36 @@ def parse_composition(text: str) -> Composition:
     raise UsageError(f"unexpected character {text[bad]!r} at position {bad}")
 
 
-def _kv_pairs(tokens: list[str], known) -> dict[str, str]:
-    """The key=value tokens; a key outside ``known`` is a usage error."""
+# the type of each key: a model's, and each statistic parameter's from properties.PARAMS
+TYPES = {"n": int, "m": int, "p": float, "alpha": float,
+         **{key: param.type for key, param in PARAMS.items()}}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_CASTS = {bool: lambda text: _BOOLS[text.lower()], PatternSpec: parse_pattern}
+
+
+def _params(tokens: list[str], keys, required=()) -> dict:
+    """The key=value tokens, cast to their keys' types.  A key outside ``keys`` is a
+    usage error, and so is a missing key of ``required`` with no statistic default."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise UsageError(f"expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        if k not in known:
-            raise UsageError(f"unknown parameter {k!r}; "
-                             f"expected one of {', '.join(sorted(known))}")
-        out[k] = v
+        key, text = tok.split("=", 1)
+        if key not in keys:
+            raise UsageError(f"unknown parameter {key!r}; "
+                             f"expected one of {', '.join(sorted(keys))}")
+        try:
+            out[key] = _CASTS.get(TYPES[key], TYPES[key])(text)
+        except PatternSyntaxError:
+            raise
+        except (KeyError, ValueError):
+            raise UsageError(f"bad value for {key}: {text!r}") from None
+    for key in required:
+        if key not in out:
+            out[key] = PARAMS[key].default if key in PARAMS else REQUIRED
+            if out[key] is REQUIRED:
+                raise UsageError(f"missing parameter {key}=")
     return out
-
-
-def _num(kv: dict, key: str, cast, required=True, default=None):
-    if key not in kv:
-        if required:
-            raise UsageError(f"missing parameter {key}=")
-        return default
-    try:
-        return cast(kv[key])
-    except ValueError:
-        raise UsageError(f"bad value for {key}: {kv[key]!r}")
-
-
-# statistic parameters that ``theory`` and ``oracle`` pass on, with their types
-STATISTIC_PARAMS = {"k": int, "r": int, "min_k": int, "c": float, "side": str, "spec": str,
-                    "nonzero": lambda text: text.lower() in ("1", "true", "yes")}
-MODEL_KEYS = {"n", "m", "p"}
-
-
-def _statistic_params(kv: dict) -> dict:
-    return {key: _num(kv, key, cast) for key, cast in STATISTIC_PARAMS.items() if key in kv}
 
 
 def _format_composition(c: Composition, fmt: str) -> str:
@@ -108,16 +106,16 @@ def _format_composition(c: Composition, fmt: str) -> str:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_sample(args, out) -> int:
-    kv = _kv_pairs(args.params, MODEL_KEYS)
-    n = _num(kv, "n", int)
+    uniform = args.uniform or args.chain
+    model = ("n", "m") if uniform else ("n", "p")
+    kv = _params(args.params, model, model)
     stream = RngStream(args.seed, 0)
     for i in range(args.count):
         sub = stream.substream(i)
-        if args.uniform or args.chain:
-            m = _num(kv, "m", int)
-            c = (sample_uniform_chain if args.chain else sample_uniform_bars)(n, m, sub)
+        if uniform:
+            c = (sample_uniform_chain if args.chain else sample_uniform_bars)(kv["n"], kv["m"], sub)
         else:
-            c = sample_geometric(n, _num(kv, "p", float), sub)
+            c = sample_geometric(kv["n"], kv["p"], sub)
         out.write(_format_composition(c, args.format) + "\n")
     return 0
 
@@ -154,49 +152,39 @@ def _prediction_doc(pred: theory.TheoryPrediction) -> dict:
     return doc
 
 
-def cmd_theory(args, out) -> int:
-    what = args.what
-    rest = list(args.params)
-    kv = _kv_pairs([t for t in rest if "=" in t],
-                   MODEL_KEYS | {"alpha"} | set(STATISTIC_PARAMS))
-    words = [t for t in rest if "=" not in t]
+# ``theory poisson`` and ``threshold``: the function, its scale key and that key's default
+STATISTIC_REQUESTS = {"poisson": (theory.poisson_limit, "alpha", 1.0),
+                      "threshold": (theory.threshold_location, "n", 10 ** 4)}
+# each closed form of ``compevo theory``: its function and that function's parameter names
+CLOSED_FORMS = {
+    "expected-components": (theory.expected_components, ("n", "p")),
+    "expected-gaps": (theory.expected_gaps, ("n", "p")),
+    "mean-component-length": (theory.mean_component_length, ("n", "p")),
+    "mean-gap-length": (theory.mean_gap_length, ("n", "p")),
+    "prob-exact-at-position": (theory.prob_exact_consecutive_at_position, ("spec", "p")),
+    "prob-exact-at-position-uniform": (theory.prob_exact_consecutive_at_position_uniform,
+                                       ("n", "m", "spec")),
+    "prob-ordering-at-position": (theory.prob_ordering_at_position, ("spec", "p")),
+    "prob-tmax-lt": (theory.prob_tmax_lt, ("n", "p", "r")),
+    "prob-tmin-ge": (theory.prob_tmin_ge, ("n", "p", "r")),
+    "square-threshold": (theory.square_threshold, ("n", "c")),
+}
 
-    if what == "poisson":
-        if not words:
-            raise UsageError("theory poisson needs a statistic id")
-        alpha = _num(kv, "alpha", float, required=False, default=1.0)
-        pred = theory.poisson_limit(words[0], _statistic_params(kv), alpha)
-    elif what == "threshold":
-        if not words:
-            raise UsageError("theory threshold needs a statistic id")
-        n = _num(kv, "n", int, required=False, default=10 ** 4)
-        pred = theory.threshold_location(words[0], _statistic_params(kv), n)
-    elif what == "expected-components":
-        pred = theory.expected_components(_num(kv, "n", int), _num(kv, "p", float))
-    elif what == "expected-gaps":
-        pred = theory.expected_gaps(_num(kv, "n", int), _num(kv, "p", float))
-    elif what == "mean-component-length":
-        pred = theory.mean_component_length(_num(kv, "n", int), _num(kv, "p", float))
-    elif what == "mean-gap-length":
-        pred = theory.mean_gap_length(_num(kv, "n", int), _num(kv, "p", float))
-    elif what == "prob-exact-at-position":
-        pred = theory.prob_exact_consecutive_at_position(
-            parse_pattern(kv.get("spec", "")), _num(kv, "p", float))
-    elif what == "prob-exact-at-position-uniform":
-        pred = theory.prob_exact_consecutive_at_position_uniform(
-            _num(kv, "n", int), _num(kv, "m", int), parse_pattern(kv.get("spec", "")))
-    elif what == "prob-ordering-at-position":
-        pred = theory.prob_ordering_at_position(
-            parse_pattern(kv.get("spec", "")), _num(kv, "p", float))
-    elif what == "prob-tmax-lt":
-        pred = theory.prob_tmax_lt(_num(kv, "n", int), _num(kv, "p", float),
-                                   _num(kv, "r", int))
-    elif what == "prob-tmin-ge":
-        pred = theory.prob_tmin_ge(_num(kv, "n", int), _num(kv, "p", float),
-                                   _num(kv, "r", int))
-    elif what == "square-threshold":
-        pred = theory.square_threshold(_num(kv, "n", int),
-                                       _num(kv, "c", float, required=False, default=0.0))
+
+def cmd_theory(args, out) -> int:
+    what, tokens = args.what, list(args.params)
+    if what in STATISTIC_REQUESTS:
+        form, scale, default = STATISTIC_REQUESTS[what]
+        sid = next((tok for tok in tokens if "=" not in tok), None)
+        if sid is None:
+            raise UsageError(f"theory {what} needs a statistic id")
+        tokens.remove(sid)
+        kv = _params(tokens, {scale, *lookup(sid).keys})
+        at = kv.pop(scale, default)
+        pred = form(sid, kv, at)
+    elif what in CLOSED_FORMS:
+        form, keys = CLOSED_FORMS[what]
+        pred = form(**_params(tokens, keys, keys))
     else:
         raise UsageError(f"unknown theory request {what!r}")
     out.write(json.dumps(_prediction_doc(pred), indent=2) + "\n")
@@ -233,39 +221,25 @@ def cmd_render(args, out) -> int:
 
 
 def cmd_oracle(args, out) -> int:
-    kv = _kv_pairs(args.params, MODEL_KEYS | set(STATISTIC_PARAMS))
-    mode = args.mode
-    if mode == "count":
-        n, m = _num(kv, "n", int), _num(kv, "m", int)
-        out.write(str(count_compositions(n, m)) + "\n")
+    model = ("n", "p") if args.mode == "geometric" else ("n", "m")
+    if args.mode == "count":
+        out.write(f"{count_compositions(**_params(args.params, model, model))}\n")
         return 0
-    prop = _oracle_property(args, kv)
-    if mode == "uniform":
-        n, m = _num(kv, "n", int), _num(kv, "m", int)
-        res = oracle.exact_prob_uniform(n, m, prop.holds)
+    sid = "contains" if args.pattern else args.statistic
+    if sid is None:
+        raise UsageError("oracle needs --pattern or --statistic")
+    tokens = [*args.params, *([f"spec={args.pattern}"] if args.pattern else [])]
+    kv = _params(tokens, {*model, *lookup(sid).keys}, model)
+    n, x = kv.pop("n"), kv.pop(model[1])
+    if args.mode == "uniform":
+        res = oracle.exact_prob_uniform(n, x, Property(sid, kv).holds)
         doc = {"lo": res.lo, "hi": res.hi, "method": res.method,
                "rational": str(res.rational)}
-    elif mode == "geometric":
-        n, p = _num(kv, "n", int), _num(kv, "p", float)
-        form = prop.oracle_form()
-        if form is None:
-            raise UnsupportedProperty(
-                f"statistic {prop.statistic_id!r} has no geometric-model oracle")
-        res = oracle.exact_prob_geometric_consecutive(n, p, form)
-        doc = {"lo": res.lo, "hi": res.hi, "width": res.width, "method": res.method}
     else:
-        raise UsageError(f"unknown oracle mode {mode!r}")
+        res = oracle.exact_prob_geometric_consecutive(n, x, (sid, kv))
+        doc = {"lo": res.lo, "hi": res.hi, "width": res.width, "method": res.method}
     out.write(json.dumps(doc, indent=2) + "\n")
     return 0
-
-
-def _oracle_property(args, kv: dict) -> Property:
-    if args.pattern:
-        spec = parse_pattern(args.pattern)
-        return Property("contains", {}, spec=spec)
-    if not args.statistic:
-        raise UsageError("oracle needs --pattern or --statistic")
-    return Property(args.statistic, _statistic_params(kv))
 
 
 # -- parser ------------------------------------------------------------------

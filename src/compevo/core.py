@@ -7,6 +7,7 @@ randomness, so values can be shared freely between threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence, Union
@@ -186,8 +187,9 @@ class PatternSpec:
     def __post_init__(self):
         if not self.blocks or any(len(b) == 0 for b in self.blocks):
             raise ValueError("pattern must have at least one nonempty block")
-        if any(t < 0 for b in self.blocks for t in b):
-            raise ValueError("pattern terms must be nonnegative")
+        if any(isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 0
+               for b in self.blocks for t in b):
+            raise ValueError(f"pattern terms must be nonnegative integers, got {self.blocks}")
         if self.kind is PatternKind.ORDERING:
             values = sorted({t for b in self.blocks for t in b})
             if values != list(range(len(values))):

@@ -29,6 +29,7 @@ Config schema (JSON, version 1)::
 Unknown keys are rejected at the top level, in ``property``, in ``theory`` and
 in each grid entry, and so is a grid point with n < 1, m < 0, p outside
 [0, 1) or m + n - 1 >= 2**63 (beyond the uniform batch sampler's int64).
+``Property`` refuses a bad ``params`` key, value or type here as well.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 ``STATISTICS`` maps each id to its one ``StatisticDef`` row:
 
-* the parameter it cannot be decided without (``"spec"`` for patterns) and
-  every parameter key it reads; ``Property`` refuses any other key;
+* the names of its parameters, each declared once in ``PARAMS``; ``Property``
+  refuses any other key, a missing required one and a value of the wrong type;
 * a scalar predicate on one composition, the slow reference route that the
   enumeration oracle and the brute-force cross-checks use;
 * a vectorized predicate on a (trials, n) sample matrix, the Monte Carlo
@@ -22,14 +22,46 @@ hold; its methods look up the row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import analysis, oracle, patterns, theory
 from .core import BlockStructure, PatternKind, PatternSpec, UnsupportedProperty, as_terms
 from .theory import Scaling
+
+REQUIRED = object()  # the default of a parameter that must be given
+
+
+class Param(NamedTuple):
+    """A statistic parameter: the type of its value and its default."""
+
+    type: type
+    default: object = REQUIRED
+
+
+PARAMS: dict[str, Param] = {
+    "k": Param(int), "r": Param(int), "min_k": Param(int, 1), "c": Param(float, 0.0),
+    "nonzero": Param(bool, True),  # False: zero terms make runs too
+    "side": Param(str, None),  # "appear" or "disappear"; None: the row's own side
+    "spec": Param(PatternSpec),  # or its text
+}
+# the values a type admits: a bool is no int and no float
+_ADMITS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str,
+           PatternSpec: PatternSpec}
+
+
+def _checked(sid: str, key: str, value):
+    """``value`` as the type of parameter ``key``; ValueError when it is none."""
+    kind = PARAMS[key].type
+    if kind is PatternSpec and isinstance(value, str):
+        return patterns.parse_pattern(value)
+    if isinstance(value, bool) and kind is not bool or not isinstance(value, _ADMITS[kind]):
+        raise ValueError(f"statistic {sid!r} parameter {key!r} must be {kind.__name__}, "
+                         f"got {value!r}")
+    return kind(value) if kind in (int, float) else value
 
 
 @dataclass(frozen=True)
@@ -38,40 +70,64 @@ class StatisticDef:
 
     holds: Callable[[Property, object], bool]
     holds_batch: Callable[[Property, np.ndarray], np.ndarray]
-    keys: tuple[str, ...]  # every parameter key it reads, ``needs`` included
-    needs: str | None = None  # the parameter it cannot be decided without
-    minimum: int | None = None  # the least value ``needs`` may take
+    keys: tuple[str, ...]  # the names in PARAMS it takes
+    minimum: int | None = None  # the least value its one required parameter may take
     kind: PatternKind | None = None  # consecutive patterns of this kind only
     oracle_form: Callable[[Property], object] | None = None  # None: no geometric oracle
     scaling: Callable[[Property], Scaling] | None = None
     # the threshold when it is no power of n; replaces the scaling's
     threshold: Callable[[Property, int], theory.TheoryPrediction] | None = None
 
+    @property
+    def needs(self) -> tuple[str, ...]:
+        """The parameters it cannot be decided without: those with no default."""
+        return tuple(key for key in self.keys if PARAMS[key].default is REQUIRED)
+
+
+def lookup(statistic_id: str) -> StatisticDef:
+    """The row of ``statistic_id``; UnsupportedProperty for an unknown id."""
+    row = STATISTICS.get(statistic_id)
+    if row is None:
+        raise UnsupportedProperty(f"unknown statistic id {statistic_id!r}")
+    return row
+
 
 @dataclass(frozen=True)
 class Property:
+    """A statistic and its parameters; a parameter left out or None takes its
+    default.  Once built, ``params`` holds each parameter of the row but
+    ``spec``, of its type, and ``spec`` the parsed pattern of a pattern row."""
+
     statistic_id: str
     params: dict = field(default_factory=dict)
     spec: PatternSpec | None = None
 
     def __post_init__(self):
-        sid, row = self.statistic_id, STATISTICS.get(self.statistic_id)
-        if row is None:
-            raise UnsupportedProperty(f"unknown statistic id {sid!r}")
-        # a "spec" of None is the field's default, which every row accepts
-        unknown = sorted(key for key in self.params if key not in row.keys
-                         and not (key == "spec" and self.params[key] is None))
+        sid, row = self.statistic_id, lookup(self.statistic_id)
+        given = {key: value for key, value in self.params.items()
+                 if value is not None or key not in PARAMS}
+        if self.spec is not None:
+            given["spec"] = self.spec
+        unknown = sorted(set(given) - set(row.keys))
         if unknown:
             raise ValueError(f"statistic {sid!r} takes no parameter "
                              f"{', '.join(map(repr, unknown))}; it takes {list(row.keys)}")
-        if row.needs == "spec":
-            object.__setattr__(self, "spec", _pattern_param(self, row.kind))
-        elif row.needs is not None:
-            if row.needs not in self.params:
-                raise ValueError(f"statistic {sid!r} needs parameter {row.needs!r}")
-            if row.minimum is not None and self.params[row.needs] < row.minimum:
-                raise ValueError(f"{sid} needs {row.needs} >= {row.minimum}, "
-                                 f"got {self.params[row.needs]}")
+        missing = [key for key in row.needs if key not in given]
+        if missing:
+            raise ValueError(f"statistic {sid!r} needs parameter {missing[0]!r}")
+        values = {key: _checked(sid, key, given[key]) if key in given else PARAMS[key].default
+                  for key in row.keys}
+        if row.minimum is not None and values[row.needs[0]] < row.minimum:
+            raise ValueError(f"{sid} needs {row.needs[0]} >= {row.minimum}, "
+                             f"got {values[row.needs[0]]}")
+        spec = values.pop("spec", None)
+        if spec is not None and row.kind is not None:
+            if len(spec.blocks) != 1:
+                raise UnsupportedProperty(f"statistic {sid!r} needs a consecutive pattern")
+            if spec.kind is not row.kind:
+                raise UnsupportedProperty(f"pattern kind {spec.kind.value!r} does not fit {sid!r}")
+        object.__setattr__(self, "params", values)
+        object.__setattr__(self, "spec", spec)
 
     def holds(self, c) -> bool:
         """Predicate on one composition; the slow, obviously-correct route."""
@@ -87,25 +143,10 @@ class Property:
         return None if form is None else form(self)
 
 
-def _pattern_param(prop: Property, kind: PatternKind | None) -> PatternSpec:
-    sid, spec = prop.statistic_id, prop.spec
-    if spec is None and "spec" in prop.params:
-        spec = prop.params["spec"]
-    if isinstance(spec, str):
-        spec = patterns.parse_pattern(spec)
-    if not isinstance(spec, PatternSpec):
-        raise UnsupportedProperty(f"statistic {sid!r} needs a pattern")
-    if kind is not None and len(spec.blocks) != 1:
-        raise UnsupportedProperty(f"statistic {sid!r} needs a consecutive pattern")
-    if kind is not None and spec.kind is not kind:
-        raise UnsupportedProperty(f"pattern kind {spec.kind.value!r} does not fit {sid!r}")
-    return spec
-
-
 # -- rows ----------------------------------------------------------------------
 
 def _appears(prop: Property) -> bool:
-    return prop.params.get("side", "appear") == "appear"
+    return prop.params["side"] in (None, "appear")
 
 
 def _pattern_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
@@ -127,8 +168,7 @@ def _consecutive_form(prop: Property):
 
 def _pattern_row(kind: PatternKind | None, scaling=None) -> StatisticDef:
     return StatisticDef(holds=lambda prop, c: patterns.match(c, prop.spec).exists,
-                        holds_batch=_pattern_batch, keys=("spec", "side"),
-                        needs="spec", kind=kind,
+                        holds_batch=_pattern_batch, keys=("spec", "side"), kind=kind,
                         oracle_form=None if kind is PatternKind.ORDERING else _consecutive_form,
                         scaling=scaling)
 
@@ -195,9 +235,7 @@ def _contains_scaling(prop: Property) -> Scaling:
 
 def _equal_run_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
     k = prop.params["k"]
-    mask = np.ones_like(samples, dtype=bool)
-    if prop.params.get("nonzero", True):
-        mask = samples > 0
+    mask = samples > 0 if prop.params["nonzero"] else np.ones_like(samples, dtype=bool)
     if k == 1:
         return mask.any(axis=1)
     eq = (samples[:, 1:] == samples[:, :-1]) & mask[:, 1:] & mask[:, :-1]
@@ -208,7 +246,7 @@ def _equal_run_form(prop: Property):
     k = prop.params["k"]
     if k <= 0:
         return _ALWAYS
-    nonzero = prop.params.get("nonzero", True)  # then a zero term breaks every run
+    nonzero = prop.params["nonzero"]  # then a zero term breaks every run
     return lambda n, p, width: oracle.value_run_prob(
         n, p, lambda v: k if v or not nonzero else None, width)
 
@@ -219,15 +257,16 @@ def _carlitz_form(prop: Property):
 
 
 def _any_square_form(prop: Property):
-    """A square of side v >= 1 is a run of v terms equal to v."""
-    if prop.params.get("min_k", 1) != 1:  # the automaton asks for side >= 1 only
-        return None
+    """A square of side v >= min_k is a run of v terms equal to v."""
+    min_k = prop.params["min_k"]
+    if min_k <= 0:
+        return _ALWAYS
     # a square of side s occurs with probability at most n * p**(s*s), so sides
-    # above w add at most n * p**((w+1)**2) / (1 - p); none is longer than n.
-    # The cap w is near the square root of a term cap: about w**2 / 2 states.
+    # above w and from min_k on add at most n * p**(max(w+1, min_k)**2) / (1 - p);
+    # none is longer than n.  The cap w is near the root of a term cap: ~w**2/2 states.
     return lambda n, p, width: oracle.value_run_prob(
-        n, p, lambda v: v or None, width,
-        lambda w: n * p ** ((w + 1) ** 2) / (1.0 - p) if w < n else 0.0)
+        n, p, lambda v: v if v >= min_k else None, width,
+        lambda w: n * p ** (max(w + 1, min_k) ** 2) / (1.0 - p) if w < n else 0.0)
 
 
 def _equal_run_scaling(prop: Property) -> Scaling:
@@ -235,17 +274,10 @@ def _equal_run_scaling(prop: Property) -> Scaling:
     if not _appears(prop):
         # zero runs are as rare as any other value's here, so nonzero is moot
         return Scaling("q", k - 1, f"runs of {k} equal terms", coefficient=1 / k)
-    if not prop.params.get("nonzero", True):
+    if not prop.params["nonzero"]:
         raise UnsupportedProperty("equal_run with nonzero=False has no appearance "
                                   "threshold: zero runs are there from the start")
     return Scaling("p", k, f"runs of {k} equal nonzero terms")
-
-
-def _increasing_run_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
-    k = prop.params["k"]
-    if k <= 1:
-        return np.ones(samples.shape[0], dtype=bool)
-    return _has_true_run(samples[:, 1:] > samples[:, :-1], k - 1)
 
 
 def _equal_terms_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
@@ -266,12 +298,10 @@ def _square_holds(prop: Property, c) -> bool:
 
 
 def _any_square_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
-    kmin = prop.params.get("min_k", 1)
-    if kmin <= 0:  # largest_square >= 0 always holds
-        return np.ones(samples.shape[0], dtype=bool)
     kmax = min(int(samples.max(initial=0)), samples.shape[1])
     out = np.zeros(samples.shape[0], dtype=bool)
-    for k in range(kmin, kmax + 1):
+    # from min_k <= 0 on, side 0 is found on every row by _has_true_run
+    for k in range(max(prop.params["min_k"], 0), kmax + 1):
         out |= _has_true_run(samples == k, k)
     return out
 
@@ -282,7 +312,6 @@ def _longest_run(report, mask, param: str, what: str, form) -> StatisticDef:
         holds=lambda prop, c: report(c).longest >= prop.params["k"],
         holds_batch=lambda prop, x: _has_true_run(mask(x), prop.params["k"]),
         keys=("k", "side"),
-        needs="k",
         oracle_form=form,
         scaling=lambda prop: Scaling(param, prop.params["k"],
                                      f"{what} of length >= {prop.params['k']}"))
@@ -298,7 +327,6 @@ def _shortest_run(report, mask, param: str, what: str, run_class: int) -> Statis
         holds=holds,
         holds_batch=lambda prop, x: _min_run_gt(mask(x), prop.params["k"]),
         keys=("k", "side"),
-        needs="k",
         oracle_form=lambda prop: lambda n, p, width: oracle.shortest_run_prob(
             n, p, prop.params["k"], run_class),
         scaling=lambda prop: Scaling(param, 2, f"{what} of length <= {prop.params['k']}",
@@ -324,7 +352,6 @@ STATISTICS: dict[str, StatisticDef] = {
         holds=lambda prop, c: analysis.extremes(c).tmax >= prop.params["r"],
         holds_batch=lambda prop, x: (x >= prop.params["r"]).any(axis=1),
         keys=("r", "side"),
-        needs="r",
         # the one-term upper pattern [r]; [0] for r <= 0 matches every term
         oracle_form=lambda prop: PatternSpec(PatternKind.UPPER, ((max(prop.params["r"], 0),),)),
         scaling=lambda prop: Scaling("p", prop.params["r"], f"terms >= {prop.params['r']}")),
@@ -332,23 +359,20 @@ STATISTICS: dict[str, StatisticDef] = {
         holds=lambda prop, c: analysis.extremes(c).tmin >= prop.params["r"],
         holds_batch=lambda prop, x: (x >= prop.params["r"]).all(axis=1),
         keys=("r", "side"),
-        needs="r",
         oracle_form=_tmin_form,
         scaling=lambda prop: Scaling("q", 1, f"terms < {prop.params['r']}",
                                      coefficient=prop.params["r"])),
     "equal_run": StatisticDef(
         holds=lambda prop, c: analysis.equal_runs(
-            c, nonzero_only=prop.params.get("nonzero", True)).longest >= prop.params["k"],
+            c, nonzero_only=prop.params["nonzero"]).longest >= prop.params["k"],
         holds_batch=_equal_run_batch,
         keys=("k", "nonzero", "side"),
-        needs="k",
         oracle_form=_equal_run_form,
         scaling=_equal_run_scaling),
     "equal_terms": StatisticDef(
         holds=lambda prop, c: analysis.max_multiplicity(c) >= prop.params["k"],
         holds_batch=_equal_terms_batch,
         keys=("k", "side"),
-        needs="k",
         # k-tuples of equal terms anywhere: about n^k q^(k-1) / (k k!) of them
         # (k < 1 has no threshold, and theory refuses it by its power)
         scaling=lambda prop: Scaling(
@@ -365,9 +389,9 @@ STATISTICS: dict[str, StatisticDef] = {
                                      coefficient=0.5)),
     "increasing_run": StatisticDef(
         holds=lambda prop, c: analysis.longest_increasing_run(c) >= prop.params["k"],
-        holds_batch=_increasing_run_batch,
+        # for k <= 1, _has_true_run finds k - 1 <= 0 rises on every row
+        holds_batch=lambda prop, x: _has_true_run(x[:, 1:] > x[:, :-1], prop.params["k"] - 1),
         keys=("k", "side"),
-        needs="k",
         scaling=lambda prop: Scaling("p", prop.params["k"] * (prop.params["k"] - 1) // 2,
                                      f"increasing runs of length {prop.params['k']}")),
     "square": StatisticDef(
@@ -375,13 +399,13 @@ STATISTICS: dict[str, StatisticDef] = {
         holds_batch=lambda prop, x: _has_true_run(x == prop.params["k"], prop.params["k"]),
         keys=("k", "c"),
         # a 0-square has no defined meaning: holds and holds_batch would disagree
-        needs="k", minimum=1,
+        minimum=1,
         # a k-square is a run of k terms equal to k: the exact pattern k^k
         oracle_form=lambda prop: PatternSpec(PatternKind.EXACT,
                                              ((prop.params["k"],) * prop.params["k"],)),
-        threshold=lambda prop, n: theory.square_threshold(n, prop.params.get("c", 0.0))),
+        threshold=lambda prop, n: theory.square_threshold(n, prop.params["c"])),
     "any_square": StatisticDef(
-        holds=lambda prop, c: analysis.largest_square(c) >= prop.params.get("min_k", 1),
+        holds=lambda prop, c: analysis.largest_square(c) >= prop.params["min_k"],
         holds_batch=_any_square_batch,
         keys=("min_k",),
         oracle_form=_any_square_form),

@@ -9,10 +9,8 @@ equalities by the experiment harness.
 only.  Each id's row in ``properties.STATISTICS`` checks the parameters and
 gives a ``Scaling``: the threshold side (p for appearance, q for
 disappearance), its exponent of n and the Poisson mean at the threshold.
-``exact_consec``, ``equal_run`` and ``contains`` take the side from their
-``side`` parameter ("appear" unless given).  A side the statistic does not
-have, and a parameter at which its count does not grow with n (k = 1 for
-``equal_terms``), raise ``UnsupportedProperty``.
+A ``side`` the statistic does not have, and a parameter at which its count
+does not grow with n (k = 1 for ``equal_terms``), raise ``UnsupportedProperty``.
 
 Every form that takes a model point refuses an invalid one first, through
 ``core.check_geometric`` or ``core.check_uniform``; a per-window form checks
@@ -235,8 +233,7 @@ class Scaling:
 def _statistic(statistic_id: str, params: dict):
     """``Property(statistic_id, params)``, whose row checks the parameters, and the row."""
     from .properties import STATISTICS, Property  # the statistic table imports this module
-    prop = Property(statistic_id, params)
-    return prop, STATISTICS[statistic_id]
+    return Property(statistic_id, params), STATISTICS[statistic_id]
 
 
 def _scaling(prop, row) -> Scaling:
@@ -244,12 +241,13 @@ def _scaling(prop, row) -> Scaling:
     if row.scaling is None:
         raise UnsupportedProperty(f"statistic {sid!r} has no threshold theory")
     s = row.scaling(prop)
-    side = prop.params.get("side")
+    side = prop.params["side"]
     if side is not None and side != s.side:
         raise UnsupportedProperty(f"statistic {sid!r} has no {side!r} threshold")
     if s.power < 1:  # the count does not grow with n: the property always or never holds
-        at = prop.spec if row.needs == "spec" else prop.params.get(row.needs)
-        raise UnsupportedProperty(f"statistic {sid!r} has no threshold at {row.needs} = {at}")
+        at = ", ".join(f"{key} = {prop.spec if key == 'spec' else prop.params[key]}"
+                       for key in row.needs)
+        raise UnsupportedProperty(f"statistic {sid!r} has no threshold at {at}")
     return s
 
 
@@ -303,7 +301,7 @@ def threshold_location(statistic_id: str, params: dict, n: int) -> TheoryPredict
                                      "m_exponent": m_exponent})
 
 
-def square_threshold(n: int, c: float = 0.0) -> TheoryPrediction:
+def square_threshold(n: int, c: float) -> TheoryPrediction:
     """Largest-square heuristic: side k*(n) and the size scale m* ~ n log n / log log n."""
     if n < 3:  # the formulas divide by log log n, which is positive only from n = 3
         raise ValueError("need n >= 3")

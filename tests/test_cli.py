@@ -108,6 +108,11 @@ def test_sample_seed_defaults_to_zero():
     ("theory expected-components n=-5 p=0.3", "need n >= 1 and 0 <= p < 1, got n=-5, p=0.3"),
     ("sample --geometric n=0 p=0.3", "need n >= 1 and 0 <= p < 1, got n=0, p=0.3"),
     ("sample --uniform n=4 m=-1", "need n >= 1 and m >= 0, got n=4, m=-1"),
+    # the empty pattern text was parsed instead
+    ("theory prob-exact-at-position p=0.3", "missing parameter spec="),
+    # any text but 1/true/yes read as false
+    ("oracle geometric n=20 p=0.5 --statistic equal_run k=2 nonzero=flase",
+     "bad value for nonzero: 'flase'"),
 ])
 def test_invalid_model_point_is_one_error_line(capsys, argv, message):
     assert run_cli(*argv.split()) == (1, "")
@@ -121,6 +126,13 @@ def test_invalid_model_point_is_one_error_line(capsys, argv, message):
     ("theory poisson cmax_ge k=2 alfa=2", "alfa"),
     ("sample --geometric n=5 p=0.5 k=2", "k"),
     ("oracle count n=3 m=2 mm=2", "mm"),
+    # each request takes its own keys only: these keys belong to another one
+    ("sample --geometric n=5 p=0.5 m=3", "m"),
+    ("oracle count n=3 m=2 p=0.5", "p"),
+    ("oracle geometric n=5 p=0.5 m=3 --statistic cmax_ge k=2", "m"),
+    ("theory threshold cmax_ge k=2 n=100 p=0.2", "p"),
+    ("theory poisson cmax_ge k=2 alpha=1 n=100", "n"),
+    ("theory expected-gaps n=5 p=0.3 spec=e:[1]", "spec"),
 ])
 def test_unknown_key_is_one_error_line(capsys, argv, key):
     assert run_cli(*shlex.split(argv)) == (1, "")
@@ -269,8 +281,12 @@ def test_oracle_any_square():
                         "--statistic", "any_square")
     doc = json.loads(out)
     assert code == 0 and doc["lo"] == pytest.approx(1.0) and doc["lo"] <= doc["hi"]
+    code, out = run_cli("oracle", "geometric", "n=100", "p=0.5",
+                        "--statistic", "any_square", "min_k=2")
+    doc = json.loads(out)
+    assert code == 0 and 0.0 < doc["lo"] <= doc["hi"] <= doc["lo"] + 1e-9
     code, _ = run_cli("oracle", "geometric", "n=100", "p=0.5",
-                      "--statistic", "any_square", "min_k=2")
+                      "--statistic", "increasing_run", "k=2")
     assert code == 2
 
 

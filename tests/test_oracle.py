@@ -117,10 +117,10 @@ def test_named_statistic_is_its_row_form():
 
 
 def test_named_statistic_meets_the_row_checks():
-    # min_k = 2 answered as min_k = 1, a missing k raised a bare KeyError, and
-    # an unknown key was dropped
+    # a row without a form, a missing k (once a bare KeyError), and an unknown
+    # key (once dropped)
     with pytest.raises(UnsupportedProperty, match="no geometric-model oracle"):
-        exact_prob_geometric_consecutive(20, 0.5, ("any_square", {"min_k": 2}))
+        exact_prob_geometric_consecutive(20, 0.5, ("increasing_run", {"k": 2}))
     with pytest.raises(ValueError, match="needs parameter 'k'"):
         exact_prob_geometric_consecutive(20, 0.5, ("cmax_ge", {}))
     with pytest.raises(ValueError, match="takes no parameter 'kk'"):
@@ -158,6 +158,17 @@ def test_any_square_side_cap_brackets_brute_force():
     tail = 5 * 0.2 ** 15
     assert res.lo - tail <= ref <= res.hi + tail
     assert 0.0 < res.width <= 1e-9
+
+
+@pytest.mark.parametrize("n,p", [(5, 0.5), (4, 0.3)])
+def test_any_square_min_side_brackets_brute_force(n, p):
+    # values below min_k = 2 break runs, and the side cap starts at min_k
+    res = exact_prob_geometric_consecutive(n, p, ("any_square", {"min_k": 2}))
+    ref = _brute_geometric(n, p, Property("any_square", {"min_k": 2}), V=14)
+    tail = n * p ** 15
+    assert res.lo - tail <= ref <= res.hi + tail
+    assert res.width <= 1e-9
+    assert res.hi < exact_prob_geometric_consecutive(n, p, ("any_square", {})).lo
 
 
 def test_interval_width_shrinks_with_cap():

@@ -5,14 +5,19 @@ a time; ``holds_batch`` decides a whole (trials, n) matrix with array
 operations.  Every statistic id must give the same answer on every row.
 """
 
+import io
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compevo.core import UnsupportedProperty
-from compevo.properties import STATISTICS, Property
+from compevo import experiment, theory
+from compevo.cli import main
+from compevo.core import PatternKind, PatternSpec, UnsupportedProperty
+from compevo.oracle import exact_prob_geometric_consecutive
+from compevo.properties import PARAMS, STATISTICS, Property
 from conftest import PROPERTIES
 
 SMALL = st.integers(0, 3)
@@ -114,9 +119,50 @@ def test_missing_parameter_fails_at_construction(sid, need):
 @pytest.mark.parametrize("sid", sorted(STATISTICS))
 def test_unknown_parameter_fails_at_construction(sid):
     # a misspelled key would otherwise be dropped and its default used
-    assert STATISTICS[sid].needs in (None, *STATISTICS[sid].keys)
+    assert set(STATISTICS[sid].needs) <= set(STATISTICS[sid].keys) <= set(PARAMS)
     with pytest.raises(ValueError, match="takes no parameter 'bogus'"):
         Property(sid, {"bogus": 1})
+
+
+@pytest.mark.parametrize("sid,params,key,kind", [
+    ("cmax_ge", {"k": "2"}, "k", "int"),
+    ("cmax_ge", {"k": 2.5}, "k", "int"),
+    ("cmax_ge", {"k": True}, "k", "int"),
+    # holds_batch read r = 1.5 as r = 2, the oracle as the mass of p**1.5
+    ("tmax_ge", {"r": 1.5}, "r", "int"),
+    ("equal_run", {"k": 2, "nonzero": "yes"}, "nonzero", "bool"),
+    # a raw TypeError traceback from the minimum check
+    ("square", {"k": "2"}, "k", "int"),
+])
+def test_mistyped_parameter_fails_before_any_work(monkeypatch, tmp_path, capsys,
+                                                  sid, params, key, kind):
+    # a sweep once failed inside chunk 0 with a ChunkError
+    def no_chunks(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(experiment, "_chunk_successes", no_chunks)
+    message = f"statistic '{sid}' parameter '{key}' must be {kind}, got "
+    doc = {"version": 1, "model": "geometric", "grid": [{"n": 20, "p": 0.3}],
+           "property": {"statistic": sid, "params": params}, "trials": 10, "seed": 1}
+    with pytest.raises(ValueError, match=message):
+        experiment.ExperimentConfig.from_dict(doc)
+    with pytest.raises(ValueError, match=message):
+        exact_prob_geometric_consecutive(20, 0.3, (sid, params))
+    with pytest.raises(ValueError, match=message):
+        theory.poisson_limit(sid, params, 1.0)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", str(path)], out=io.StringIO()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_non_integer_pattern_term_is_refused():
+    # the geometric oracle answered the p**1.5 mass of u:[1.5]
+    for term in (1.5, True):
+        with pytest.raises(ValueError, match="pattern terms must be nonnegative integers"):
+            PatternSpec(PatternKind.UPPER, ((term,),))
+    assert PatternSpec(PatternKind.UPPER, ((np.int64(2),),)).terms == (2,)
 
 
 def test_holds_on_a_term_beyond_int64():

@@ -211,8 +211,8 @@ def test_threshold_transfer():
 
 
 def test_square_heuristic_monotone():
-    k5 = theory.square_threshold(10 ** 5).value
-    k9 = theory.square_threshold(10 ** 9).value
+    k5 = theory.square_threshold(10 ** 5, 0.0).value
+    k9 = theory.square_threshold(10 ** 9, 0.0).value
     assert k9 > k5 > 1
 
 
@@ -220,7 +220,7 @@ def test_square_heuristic_monotone():
 def test_square_threshold_needs_log_log_n_positive(n):
     # n = 1 died in log(0) and n = 2 answered a negative side
     with pytest.raises(ValueError, match="need n >= 3"):
-        theory.square_threshold(n)
+        theory.square_threshold(n, 0.0)
 
 
 @pytest.mark.parametrize("n", [-4, 0, 1])
