@@ -29,6 +29,8 @@ Config schema (JSON, version 1)::
 Unknown keys are rejected at the top level, in ``property``, in ``theory`` and
 in each grid entry, and so is a grid point with n < 1, m < 0, p outside
 [0, 1) or m + n - 1 >= 2**63 (beyond the uniform batch sampler's int64).
+``trials``, ``seed``, ``workers`` and each grid ``n`` and ``m`` must be ints
+(a float or a bool is refused, never truncated).
 ``Property`` refuses a bad ``params`` key, value or type here as well.
 """
 
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import theory
 from .core import ChunkError, EstimateResult, UnsupportedProperty, check_geometric
-from .properties import Property
+from .properties import Property, admits
 from .rng import RngStream
 from .samplers import check_urn, geometric_terms, uniform_bars_batch
 from .stats import INTERVALS, proportion_estimate
@@ -121,7 +123,7 @@ class ExperimentConfig:
         _reject_unknown_keys(pdoc, PROPERTY_KEYS, "property")
         prop = Property(pdoc["statistic"], dict(pdoc.get("params", {})),
                         spec=pdoc.get("pattern"))
-        trials = int(doc["trials"])
+        trials = _integer(doc["trials"], "trials")
         if trials < 1:
             raise ValueError("trials must be >= 1")
         workers = doc.get("workers", 1)
@@ -141,9 +143,16 @@ class ExperimentConfig:
         if interval not in INTERVALS:
             raise ValueError(f"interval must be one of {sorted(INTERVALS)}, got {interval!r}")
         return cls(model=model, grid=grid, prop=prop, trials=trials,
-                   seed=int(doc["seed"]), confidence=conf, interval=interval,
-                   workers=int(workers), timing=bool(doc.get("timing", False)),
+                   seed=_integer(doc["seed"], "seed"), confidence=conf, interval=interval,
+                   workers=_integer(workers, "workers"), timing=bool(doc.get("timing", False)),
                    theory_mode=theory_mode)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` if it is an int, else a ValueError naming ``name``."""
+    if not admits(int, value):
+        raise ValueError(f"{name} must be int, got {value!r}")
+    return int(value)
 
 
 def _reject_unknown_keys(doc: dict, known: set[str], where: str) -> None:
@@ -157,13 +166,13 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
         pts = []
         for entry in gdoc:
             _reject_unknown_keys(entry, POINT_KEYS[model], "grid point")
-            n = int(entry["n"])
+            n = _integer(entry["n"], "grid n")
             if model == "uniform":
-                pts.append(GridPoint(n=n, model=model, m=int(entry["m"])))
+                pts.append(GridPoint(n=n, model=model, m=_integer(entry["m"], "grid m")))
             else:
                 pts.append(GridPoint(n=n, model=model, p=float(entry["p"])))
         return [_check_point(pt) for pt in pts]
-    n = int(gdoc["n"])
+    n = _integer(gdoc["n"], "grid n")
     if n < 1:  # before n ** c, which fails or means nothing for n < 1
         raise ValueError(f"grid n={n}: need n >= 1")
     if "m_exponents" in gdoc:

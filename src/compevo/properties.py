@@ -9,7 +9,10 @@
 * a vectorized predicate on a (trials, n) sample matrix, the Monte Carlo
   fast path.  Its loops run over pattern length and block count, never over
   trials, except for nonconsecutive ordering patterns: no greedy scan decides
-  them, so each row gets one depth-first ``patterns.match``;
+  them, so each row gets one depth-first ``patterns.match``.
+  ``Property.holds_batch`` hands it the matrix in row blocks of about
+  ``BLOCK_TERMS`` terms, so that its temporaries stay in cache; a row's
+  answer depends on that row alone, so the split never changes an answer;
 * its geometric oracle form, when it has one: a consecutive e/u/l pattern
   whose existence is the statistic, or a call (n, p, width) into one of the
   automata of ``oracle``;
@@ -34,6 +37,22 @@ from .theory import Scaling
 
 REQUIRED = object()  # the default of a parameter that must be given
 
+# Terms per row block of Property.holds_batch.  Median ms of one 4096-row
+# chunk as the samplers draw it (narrow dtypes), whole matrix | blocks of
+# 2^16, 2^17, 2^18, 2^19 and 2^20 terms, numpy 2.4.6 on a 2-core x86-64 host:
+#   n = 2500  cmax_ge k=2, p = 0.02     8.8 |  3.4  2.9  2.8  2.9  3.9
+#             cmin_gt k=1, p = 0.98    34.4 |  9.7  8.3  9.9 11.6 13.8
+#             equal_run k=3, p = 0.3   11.7 |  6.3  5.3  5.2  5.4  6.7
+#             any_square, p = 0.5       359 |  123  112  114  123  182
+#             u:[1,1], m = 50           6.9 |  4.6  3.6  3.2  3.4  4.2
+#             e:1,[0,2], p = 0.1       29.3 | 25.4 23.1 22.5 23.2 24.3
+#   n = 200   e:1,[0,2], p = 0.1        2.3 |  2.6  2.2  2.2  2.2  2.3
+#             e:[1,0,1], p = 0.1       0.59 | 0.63 0.53 0.49 0.52 0.59
+# The row predicates make one to four temporaries the size of their input,
+# which for a whole chunk at n = 2500 is fresh memory rather than cache.
+# 2^18 is never slower than the whole matrix and within noise of the best.
+BLOCK_TERMS = 1 << 18
+
 
 class Param(NamedTuple):
     """A statistic parameter: the type of its value and its default."""
@@ -53,12 +72,17 @@ _ADMITS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str,
            PatternSpec: PatternSpec}
 
 
+def admits(kind: type, value) -> bool:
+    """Whether ``value`` is a ``kind`` as ``PARAMS`` reads types: a bool is no int or float."""
+    return isinstance(value, _ADMITS[kind]) and (kind is bool or not isinstance(value, bool))
+
+
 def _checked(sid: str, key: str, value):
     """``value`` as the type of parameter ``key``; ValueError when it is none."""
     kind = PARAMS[key].type
     if kind is PatternSpec and isinstance(value, str):
         return patterns.parse_pattern(value)
-    if isinstance(value, bool) and kind is not bool or not isinstance(value, _ADMITS[kind]):
+    if not admits(kind, value):
         raise ValueError(f"statistic {sid!r} parameter {key!r} must be {kind.__name__}, "
                          f"got {value!r}")
     return kind(value) if kind in (int, float) else value
@@ -134,8 +158,19 @@ class Property:
         return STATISTICS[self.statistic_id].holds(self, c)
 
     def holds_batch(self, samples: np.ndarray) -> np.ndarray:
-        """Boolean vector: property holds for each row of a (trials, n) matrix."""
-        return STATISTICS[self.statistic_id].holds_batch(self, samples)
+        """Boolean vector: property holds for each row of a (trials, n) matrix.
+
+        The row's predicate sees blocks of about ``BLOCK_TERMS`` terms (whole
+        rows, at least one), so its temporaries stay in cache; each row's answer
+        depends on that row alone, so the split never changes an answer.
+        """
+        row_batch = STATISTICS[self.statistic_id].holds_batch
+        trials, n = samples.shape
+        rows = max(1, BLOCK_TERMS // max(n, 1))
+        out = np.empty(trials, dtype=bool)
+        for start in range(0, trials, rows):
+            out[start:start + rows] = row_batch(self, samples[start:start + rows])
+        return out
 
     def oracle_form(self):
         """Argument for the geometric DP oracle, or None when unsupported."""
@@ -212,8 +247,11 @@ def _ordering_scaling(prop: Property) -> Scaling:
 
 
 def _contains_scaling(prop: Property) -> Scaling:
-    """Thresholds of the nonconsecutive and vincular patterns; no Poisson mean."""
+    """A consecutive pattern scales as in its kind's row; the nonconsecutive and
+    vincular ones have thresholds but no Poisson mean."""
     spec, appear = prop.spec, _appears(prop)
+    if len(spec.blocks) == 1:
+        return next(row.scaling(prop) for row in STATISTICS.values() if row.kind is spec.kind)
     exact = spec.kind is PatternKind.EXACT
     if spec.structure is BlockStructure.NONCONSECUTIVE and exact:
         if appear:

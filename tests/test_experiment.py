@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import pickle
@@ -6,6 +7,7 @@ import time
 import pytest
 
 from compevo import experiment
+from compevo.cli import main
 from compevo.experiment import (CHUNK, CSV_HEADER, ChunkError, ExperimentConfig, GridPoint,
                                 run_sweep, rows_to_csv, rows_to_json)
 
@@ -88,6 +90,35 @@ def test_config_validation_errors():
         _config(grid=[{"n": 0, "p": 0.1}])
     with pytest.raises(ValueError, match=r"p=-1.0, alpha=20.0\)"):
         _config(grid={"n": 100, "alphas": [20.0], "param": "q", "exponent": -0.5})
+
+
+@pytest.mark.parametrize("overrides,field,value", [
+    # each field was truncated silently through int(); the grid is read first
+    ({"trials": 2.7, "seed": 1.5, "grid": [{"n": 20.9, "p": 0.3}]}, "grid n", 20.9),
+    ({"trials": 2.7, "seed": 1.5}, "trials", 2.7),
+    ({"seed": 1.5}, "seed", 1.5),
+    ({"grid": {"n": 20.9, "alphas": [1.0], "exponent": -0.5}}, "grid n", 20.9),
+    ({"model": "uniform", "grid": [{"n": 20, "m": 3.9}],
+      "property": {"statistic": "contains", "pattern": "u:[1,1]"}}, "grid m", 3.9),
+    ({"trials": True}, "trials", True),
+    ({"workers": 1.7}, "workers", 1.7),
+])
+def test_non_integer_count_fails_before_any_chunk(monkeypatch, tmp_path, capsys,
+                                                  overrides, field, value):
+    def no_chunks(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(experiment, "_chunk_successes", no_chunks)
+    message = f"{field} must be int, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _config(**overrides)
+    doc = {"version": 1, "model": "geometric", "grid": [{"n": 20, "p": 0.3}],
+           "property": {"statistic": "cmax_ge", "params": {"k": 2}}, "trials": 10, "seed": 1,
+           **overrides}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", str(path)], out=io.StringIO()) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parametric_uniform_grid():

@@ -256,6 +256,7 @@ POISSON_CASES = [
                  id="exact_consec-disappear"),
     pytest.param(Property("upper_consec", spec="u:[1,1]"), "some", id="upper_consec"),
     pytest.param(Property("lower_consec", spec="l:[0,1]"), "some", id="lower_consec"),
+    pytest.param(Property("contains", spec="e:[2]"), "some", id="contains"),
 ]
 
 

@@ -2,7 +2,9 @@
 
 ``holds`` goes through ``analysis`` and ``patterns.match`` one composition at
 a time; ``holds_batch`` decides a whole (trials, n) matrix with array
-operations.  Every statistic id must give the same answer on every row.
+operations, in row blocks of about ``BLOCK_TERMS`` terms.  Every statistic id
+must give the same answer on every row, and the blocks the same answers as
+one call of the row's predicate on the whole matrix.
 """
 
 import io
@@ -13,11 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compevo import experiment, theory
+from compevo import experiment, patterns, properties, theory
 from compevo.cli import main
 from compevo.core import PatternKind, PatternSpec, UnsupportedProperty
 from compevo.oracle import exact_prob_geometric_consecutive
 from compevo.properties import PARAMS, STATISTICS, Property
+from compevo.rng import RngStream
+from compevo.samplers import geometric_terms
 from conftest import PROPERTIES
 
 SMALL = st.integers(0, 3)
@@ -43,6 +47,14 @@ def _assert_routes_agree(prop, samples):
     assert batch.tolist() == scalar, (prop, samples)
 
 
+def _assert_blocks_agree(props, samples):
+    """``holds_batch`` equals one call of each row's predicate on the whole matrix."""
+    for prop in props:
+        whole = STATISTICS[prop.statistic_id].holds_batch(prop, samples)
+        blocked = prop.holds_batch(samples)
+        assert blocked.dtype == bool and blocked.tolist() == whole.tolist(), (prop, samples)
+
+
 def test_every_statistic_is_covered():
     assert {p.statistic_id for p in PROPERTIES} == set(STATISTICS)
 
@@ -58,6 +70,16 @@ def test_every_statistic_is_in_the_readme():
 def test_batch_route_agrees_with_scalar_route(samples):
     for prop in PROPERTIES:
         _assert_routes_agree(prop, samples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices())
+def test_row_blocks_agree_with_one_call(samples):
+    # three copies: 3 to 18 rows in blocks of two, the last one short when odd
+    samples = np.concatenate([samples, samples[::-1], samples])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(properties, "BLOCK_TERMS", 2 * samples.shape[1])
+        _assert_blocks_agree(PROPERTIES, samples)
 
 
 EDGE_SHAPES = [
@@ -83,16 +105,39 @@ WIDE = [Property("tmax_ge", {"r": 1000}), Property("tmin_ge", {"r": 40000}),
 @pytest.mark.parametrize("rows", [
     np.array(r, dtype=dtype) for dtype in (np.int64, np.int8, np.int16, np.uint16)
     for r in EDGE_SHAPES if max(map(max, r)) <= np.iinfo(dtype).max])
-def test_routes_agree_on_edge_shapes(rows):
+def test_routes_agree_on_edge_shapes(monkeypatch, rows):
     for prop in PROPERTIES + WIDE:
         _assert_routes_agree(prop, rows)
+    # five copies in blocks of two rows, the last one short
+    monkeypatch.setattr(properties, "BLOCK_TERMS", 2 * rows.shape[1])
+    _assert_blocks_agree(PROPERTIES + WIDE, np.concatenate([rows] * 5))
 
 
-def test_mixed_block_ordering_is_unsupported_on_both_routes():
+def test_row_blocks_at_the_real_block_size():
+    # 40 rows at each p, so that most statistics hold on some rows and not others
+    samples = np.concatenate([geometric_terms(2500, p, RngStream(5, i), count=40) for i, p in
+                              enumerate((0.0005, 0.002, 0.01, 0.03, 0.1, 0.3, 0.6, 0.9))])
+    rows = properties.BLOCK_TERMS // 2500
+    assert 1 < rows < 320 and 320 % rows  # several blocks, the last one short
+    # but o:0,1,0, whose per-row search visits its cap of 10^7 nodes at this n
+    slow = patterns.parse_pattern("o:0,1,0")
+    _assert_blocks_agree([prop for prop in PROPERTIES + WIDE if prop.spec != slow], samples)
+
+
+def test_zero_rows_give_an_empty_answer():
+    for prop in PROPERTIES + WIDE:
+        out = prop.holds_batch(np.zeros((0, 5), dtype=np.int8))
+        assert out.dtype == bool and out.shape == (0,)
+
+
+def test_mixed_block_ordering_is_unsupported_on_both_routes(monkeypatch):
     prop = Property("contains", spec="o:0,[1,0]")
     samples = np.array([[0, 1, 0, 2], [3, 3, 3, 3]], dtype=np.int64)
     with pytest.raises(UnsupportedProperty):
         prop.holds(samples[0])
+    with pytest.raises(UnsupportedProperty):
+        prop.holds_batch(samples)
+    monkeypatch.setattr(properties, "BLOCK_TERMS", 4)  # one row per block
     with pytest.raises(UnsupportedProperty):
         prop.holds_batch(samples)
 

@@ -182,11 +182,25 @@ def test_contains_threshold_follows_the_pattern_structure():
     assert where("e:[1,2],0") == ("p", pytest.approx(-1 / 3))  # largest block size
     assert where("e:[1,2],0", "disappear") == ("q", -0.5)      # longest block
     assert where("o:0,2,1") == ("p", -0.5)                      # total ordering, length 3
-    for spec in ("e:[1,1]", "u:1,2", "o:0,1,0", "o:[0,1],2"):
+    for spec in ("u:1,2", "o:0,1,0", "o:[0,1],2"):
         with pytest.raises(UnsupportedProperty):
             theory.threshold_location("contains", {"spec": spec}, 10 ** 4)
     with pytest.raises(UnsupportedProperty):
         theory.poisson_limit("contains", {"spec": "e:1,3"}, 1.0)
+
+
+@pytest.mark.parametrize("spec,side,kind_row", [
+    ("e:[1,1]", "appear", "exact_consec"), ("e:[1,0,1]", "disappear", "exact_consec"),
+    ("u:[1,1]", "appear", "upper_consec"), ("l:[0,1]", "disappear", "lower_consec"),
+    ("o:[0,1,0]", "disappear", "ordering_consec"),
+])
+def test_contains_a_consecutive_pattern_scales_as_its_kind_row(spec, side, kind_row):
+    # contains e:[1,1] raised "no threshold is known" while exact_consec answered
+    params = {"spec": spec, "side": side}
+    assert (theory.threshold_location("contains", params, 10 ** 4)
+            == theory.threshold_location(kind_row, params, 10 ** 4))
+    assert theory.poisson_limit("contains", params, 1.5) == theory.poisson_limit(kind_row,
+                                                                              params, 1.5)
 
 
 def test_threshold_exponents():
