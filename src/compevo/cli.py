@@ -132,9 +132,8 @@ def cmd_match(args, out) -> int:
     report = match(c, spec, strict=args.strict, with_positions=args.positions)
     doc = {"pattern": str(spec), "kind": spec.kind.value,
            "structure": spec.structure.value,
-           "exists": report.exists, "count": report.count,
-           "truncated": report.truncated}
-    if args.positions and report.positions is not None:
+           "exists": report.exists, "count": report.count}
+    if args.positions:
         doc["positions"] = [list(t) for t in report.positions]
     out.write(json.dumps(doc, indent=2) + "\n")
     return 0

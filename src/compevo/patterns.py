@@ -24,29 +24,40 @@ patterns carry no adjacency constraint at all.
 
 ``match`` is the one matcher, and with ``analysis`` it is the scalar route:
 plain Python over the terms as a list of ints, the reference that the
-vectorized ``holds_batch`` code is checked against.  Exact/upper/lower
-patterns and consecutive ordering patterns take one path: a mask per block
-over the start positions where it fits, then an exact-integer DP over
-increasing anchor tuples (one block: the mask's sum).  An occurrence is the
-tuple of its 1-based block starts; ``positions`` lists the first
-POSITION_CAP of them.  Nonconsecutive ordering patterns (at most
-ORDERING_MAX_LENGTH terms) are counted by a depth-first search capped at
-NODE_CAP nodes; ordering patterns with mixed blocks are not supported.
+vectorized ``holds_batch`` code is checked against.  Every pattern takes one
+path: a mask per block over the start positions where it fits, then an
+exact-integer DP over increasing anchor tuples (one block: the mask's sum).
+An ordering pattern of several blocks is first expanded by
+``exact_patterns`` into the exact patterns over the values present: an index
+tuple is an occurrence of it exactly when it is one of exactly one of them,
+so their counts add up and their anchor lists merge without repeats.  The
+expansion refuses with ``GuardExceeded`` past ASSIGNMENT_CAP exact patterns;
+no answer is ever a lower bound.  An occurrence is the tuple of its 1-based
+block starts; ``positions`` lists the first POSITION_CAP of them, for every
+pattern.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 
-from .core import (BlockStructure, PatternKind, PatternSpec, TermsLike,
-                   UnsupportedProperty, as_terms)
+from .core import BlockStructure, GuardExceeded, PatternKind, PatternSpec, TermsLike, as_terms
 
-ORDERING_MAX_LENGTH = 8
-NODE_CAP = 10_000_000
 POSITION_CAP = 100_000
+
+# Most exact patterns one ordering pattern may expand into.  Cost of one exact
+# pattern, numpy 2.4.6 on a 2-core x86-64 host:
+#   match, one 2500-term row          o:[0,1],0  2.0-2.4 ms   o:0,1,0 / o:0,1,2  3.1-5.5 ms
+#   Property.holds_batch, 104 x 2500  e:[1,2],1  0.6-0.8 ms   e:1,2,1 / e:1,2,3  0.9-1.2 ms
+# At the cap, match takes 16.9 s for o:0,1,0 over 91 values (4095 patterns)
+# and 18.5 s for o:0,1,2 over 30 (4060), and a row block about 4 s; past it a
+# call is refused at once rather than left to run for minutes.
+ASSIGNMENT_CAP = 1 << 12
 
 
 class PatternSyntaxError(ValueError):
@@ -124,19 +135,16 @@ def _parse_terms(text: str, offset: int) -> list[int]:
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Occurrence report: existence, count, optional anchors.
+    """Occurrence report: existence, exact count, optional anchors.
 
-    ``count`` is exact, except that ``truncated`` marks the count of a
-    nonconsecutive ordering pattern as a lower bound because its search hit
-    NODE_CAP.  ``positions`` (only when asked for, and never for nonconsecutive
-    ordering patterns) holds the first POSITION_CAP block-start tuples, so
-    ``len(positions) < count`` marks a cut list.
+    ``positions`` (only when asked for) holds the first POSITION_CAP
+    block-start tuples in lexicographic order, so ``len(positions) < count``
+    marks a cut list.
     """
 
     exists: bool
     count: int
     positions: tuple[tuple[int, ...], ...] | None = None
-    truncated: bool = False
 
 
 # pattern kind -> the test a term v must pass against its pattern term r: COMPARE[kind](v, r)
@@ -196,35 +204,22 @@ def _list_anchor_tuples(masks: list[list[bool]],
     return found
 
 
-def _ordering_subsequence_dfs(terms: list[int], pattern: tuple[int, ...]):
-    """(count, truncated) of index tuples ordered like ``pattern``; DFS up to NODE_CAP nodes."""
-    n, k = len(terms), len(pattern)
-    visited = count = 0
-    chosen: list[int] = []
-    rule = [[relation(a, b) for b in pattern] for a in pattern]
+def exact_patterns(spec: PatternSpec, values) -> list[PatternSpec]:
+    """The exact patterns sigma(spec), blocks kept, for every strictly
+    increasing map sigma from the ordering pattern's values 0..r into ``values``.
 
-    def consistent(idx: int, t: int) -> bool:
-        v = terms[idx]
-        return all(rule[s][t](terms[prev], v) for s, prev in enumerate(chosen))
-
-    def rec(t: int, lo: int) -> bool:
-        nonlocal visited, count
-        if t == k:
-            count += 1
-            return True
-        for idx in range(lo, n - (k - t) + 1):
-            visited += 1
-            if visited > NODE_CAP:
-                return False
-            if consistent(idx, t):
-                chosen.append(idx)
-                if not rec(t + 1, idx + 1):
-                    return False
-                chosen.pop()
-        return True
-
-    truncated = not rec(0, 0)
-    return count, truncated
+    An index tuple whose terms all lie in ``values`` is an occurrence of
+    ``spec`` exactly when it is an occurrence of exactly one of them.
+    GuardExceeded when there are more than ASSIGNMENT_CAP of them.
+    """
+    values = sorted(set(values))
+    r = max(spec.terms)
+    total = math.comb(len(values), r + 1)
+    if total > ASSIGNMENT_CAP:
+        raise GuardExceeded(f"ordering pattern {spec} over {len(values)} distinct values "
+                            f"needs {total} exact patterns, more than {ASSIGNMENT_CAP}")
+    return [PatternSpec(PatternKind.EXACT, tuple(tuple(sigma[t] for t in b) for b in spec.blocks))
+            for sigma in combinations(values, r + 1)]
 
 
 def match(c: TermsLike, spec: PatternSpec, strict: bool = False,
@@ -235,18 +230,15 @@ def match(c: TermsLike, spec: PatternSpec, strict: bool = False,
     blocks of a vincular pattern; the default allows adjacent blocks.
     """
     terms = as_terms(c)
-    structure = spec.structure
-    if spec.kind is PatternKind.ORDERING and structure is not BlockStructure.CONSECUTIVE:
-        if structure is BlockStructure.VINCULAR:
-            raise UnsupportedProperty("ordering patterns with mixed blocks are not supported")
-        if spec.length > ORDERING_MAX_LENGTH:
-            raise UnsupportedProperty(
-                f"nonconsecutive ordering patterns limited to length {ORDERING_MAX_LENGTH}")
-        count, truncated = _ordering_subsequence_dfs(terms, spec.terms)
-        return MatchReport(exists=count > 0, count=count, truncated=truncated)
-    gap_min = 1 if (strict and structure is BlockStructure.VINCULAR) else 0
-    masks = [_block_mask(terms, spec.kind, b) for b in spec.blocks]
+    gap_min = 1 if (strict and spec.structure is BlockStructure.VINCULAR) else 0
     shifts = [len(b) + gap_min for b in spec.blocks]
-    count = _count_anchor_tuples(masks, shifts)
-    positions = tuple(_list_anchor_tuples(masks, shifts)) if with_positions else None
+    # one-block ordering patterns keep their pairwise rules, which need no values
+    several = spec.kind is PatternKind.ORDERING and len(spec.blocks) > 1
+    count, found = 0, []
+    for part in exact_patterns(spec, terms) if several else [spec]:
+        masks = [_block_mask(terms, part.kind, b) for b in part.blocks]
+        count += _count_anchor_tuples(masks, shifts)
+        if with_positions:
+            found.append(_list_anchor_tuples(masks, shifts))
+    positions = tuple(islice(heapq.merge(*found), POSITION_CAP)) if with_positions else None
     return MatchReport(exists=count > 0, count=count, positions=positions)

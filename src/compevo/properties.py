@@ -8,8 +8,11 @@
   enumeration oracle and the brute-force cross-checks use;
 * a vectorized predicate on a (trials, n) sample matrix, the Monte Carlo
   fast path.  Its loops run over pattern length and block count, never over
-  trials, except for nonconsecutive ordering patterns: no greedy scan decides
-  them, so each row gets one depth-first ``patterns.match``.
+  trials.  An ordering pattern of several blocks holds where one of its exact
+  patterns (``patterns.exact_patterns`` over the values of the row block)
+  does, so a block whose values give more than ``patterns.ASSIGNMENT_CAP``
+  of them is refused with ``GuardExceeded``, as ``patterns.match`` refuses
+  such a row.
   ``Property.holds_batch`` hands it the matrix in row blocks of about
   ``BLOCK_TERMS`` terms, so that its temporaries stay in cache; a row's
   answer depends on that row alone, so the split never changes an answer;
@@ -188,12 +191,15 @@ def _pattern_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
     spec = prop.spec
     if len(spec.blocks) == 1:
         return _batch_consecutive(samples, spec)
-    if spec.kind is not PatternKind.ORDERING:
-        return _batch_block_chain(samples, spec)
-    # no greedy scan decides ordering patterns; mixed-block ones raise
-    # UnsupportedProperty from patterns.match on the first row
-    return np.fromiter((patterns.match(row, spec).exists for row in samples),
-                       dtype=bool, count=samples.shape[0])
+    # an ordering pattern holds where one of its exact patterns over the block's values does
+    chains = (patterns.exact_patterns(spec, np.unique(samples).tolist())
+              if spec.kind is PatternKind.ORDERING else [spec])
+    found = np.zeros(samples.shape[0], dtype=bool)
+    for chain in chains:
+        found |= _batch_block_chain(samples, chain)
+        if found.all():
+            break
+    return found
 
 
 def _consecutive_form(prop: Property):

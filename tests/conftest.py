@@ -22,7 +22,9 @@ PROPERTIES = [
     Property("tmax_ge", {"r": 2}), Property("tmax_ge", {"r": 0}),
     Property("tmin_ge", {"r": 1}),
     Property("equal_run", {"k": 2}), Property("equal_run", {"k": 3, "nonzero": False}),
-    Property("equal_terms", {"k": 3}),
+    # one term is a run of one, and a run of none is everywhere
+    Property("equal_run", {"k": 1}), Property("equal_run", {"k": 0}),
+    Property("equal_terms", {"k": 3}), Property("equal_terms", {"k": 1}),
     Property("carlitz"),
     Property("increasing_run", {"k": 3}),
     Property("square", {"k": 1}), Property("square", {"k": 2}),
@@ -44,8 +46,9 @@ PROPERTIES = [
     Property("contains", spec="l:0,0"),
     # a block longer than every n the route-agreement test draws (n <= 8)
     Property("contains", spec="e:1,[0,0,0,0,0,0,0,0,0,0,0]"),
-    # nonconsecutive ordering: the per-row depth-first search
+    # ordering patterns of several blocks: a union of exact block chains
     Property("contains", spec="o:0,1,0"),
+    Property("contains", spec="o:[0,1],0"), Property("contains", spec="o:0,[1,0]"),
 ]
 
 

@@ -319,6 +319,21 @@ def test_window_enumeration_matches_formulas():
         assert res.lo - 1e-9 <= want <= res.hi + 1e-9
 
 
+def test_window_ordering_at_p_zero_and_past_its_guard():
+    # at p = 0 every term is 0, so only an all-equal ordering window matches
+    for text, want in [("o:[0,0,0]", 1.0), ("o:[0,1]", 0.0)]:
+        res = window_prob_geometric(parse_pattern(text), 0.0)
+        assert (res.lo, res.hi, res.method) == (want, want, "window_enum")
+    # four terms, each cut at V = 209, the least with 4 * 0.9**(V + 1) <= 1e-9: 210**4 tuples
+    with pytest.raises(GuardExceeded, match="needs 1944810000 tuples"):
+        window_prob_geometric(parse_pattern("o:[0,1,2,3]"), 0.9)
+
+
+def test_pattern_longer_than_n_never_occurs():
+    res = exact_prob_geometric_consecutive(3, 0.5, parse_pattern("u:[0,0,0,0]"))
+    assert (res.lo, res.hi) == (0.0, 0.0)
+
+
 def test_window_pattern_term_beyond_int64():
     spec = parse_pattern("e:[99999999999999999999]")
     assert window_prob_geometric(spec, 0.5).lo == 0.0

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compevo.core import BlockStructure, PatternKind, PatternSpec, UnsupportedProperty
+from compevo.core import BlockStructure, PatternKind, PatternSpec
 from compevo import patterns
 from compevo.patterns import PatternSyntaxError, match, parse_pattern
 from compevo.oracle import iter_uniform
@@ -100,9 +100,14 @@ def test_vincular_positions():
     assert report.positions == ((1, 3), (1, 4))
 
 
-def test_vincular_rejects_mixed_ordering():
-    with pytest.raises(UnsupportedProperty):
-        match([1, 2, 3], parse_pattern("o:[0,1],0"))
+def test_vincular_ordering_agrees_with_brute_force():
+    spec = parse_pattern("o:[0,1],0")
+    for terms in ([1, 2, 3], [0, 2, 1, 0, 2], [1, 2, 1, 1], [5, 7, 5, 7, 5]):
+        for strict in (False, True):
+            report = match(terms, spec, strict=strict, with_positions=True)
+            assert report.positions == tuple(naive_placements(terms, spec, strict))
+            assert report.count == len(report.positions)
+    assert match([1, 2, 1], spec).count == 1 and match([1, 2, 1], spec, strict=True).count == 0
 
 
 # -- nonconsecutive ----------------------------------------------------------
@@ -111,12 +116,6 @@ def test_nonconsecutive_examples():
     assert match([0, 5, 0, 9], parse_pattern("e:5,9")).exists
     assert not match([3, 1, 2, 0], parse_pattern("o:1,0,2")).exists
     assert match([1, 0, 2], parse_pattern("o:1,0,2")).exists
-
-
-def test_ordering_length_cap():
-    with pytest.raises(UnsupportedProperty):
-        match([0] * 10, PatternSpec(PatternKind.ORDERING,
-                                    tuple((0,) for _ in range(9))))
 
 
 def test_triple_equal_terms_pattern():
@@ -128,7 +127,8 @@ def test_triple_equal_terms_pattern():
 # -- cross checks ------------------------------------------------------------
 
 SPEC_TEXTS = ["e:[1,0]", "e:1,0", "e:[1,2],0", "e:1,[0,2]", "u:[1,1]", "u:1,1",
-              "l:[0,1],2", "o:[0,1,0]", "o:0,1", "o:0,0,1", "u:[2],1,[1,0]"]
+              "l:[0,1],2", "o:[0,1,0]", "o:0,1", "o:0,0,1", "u:[2],1,[1,0]",
+              "o:[0,1],0", "o:0,[1,0]"]
 
 
 def test_matchers_agree_with_brute_force_exhaustive():
@@ -165,10 +165,7 @@ def test_positions_are_the_brute_force_placements():
                 for spec in specs:
                     for strict in (False, True):
                         got = match(terms, spec, strict=strict, with_positions=True)
-                        if spec.kind is PatternKind.ORDERING and len(spec.blocks) > 1:
-                            assert got.positions is None
-                        else:
-                            assert got.positions == tuple(naive_placements(terms, spec, strict))
+                        assert got.positions == tuple(naive_placements(terms, spec, strict))
 
 
 def test_count_is_exact_beyond_int64():

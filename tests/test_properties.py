@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from compevo import experiment, patterns, properties, theory
 from compevo.cli import main
-from compevo.core import PatternKind, PatternSpec, UnsupportedProperty
+from compevo.core import GuardExceeded, PatternKind, PatternSpec, UnsupportedProperty
 from compevo.oracle import exact_prob_geometric_consecutive
 from compevo.properties import PARAMS, STATISTICS, Property
 from compevo.rng import RngStream
@@ -118,10 +118,15 @@ def test_row_blocks_at_the_real_block_size():
     samples = np.concatenate([geometric_terms(2500, p, RngStream(5, i), count=40) for i, p in
                               enumerate((0.0005, 0.002, 0.01, 0.03, 0.1, 0.3, 0.6, 0.9))])
     rows = properties.BLOCK_TERMS // 2500
-    assert 1 < rows < 320 and 320 % rows  # several blocks, the last one short
-    # but o:0,1,0, whose per-row search visits its cap of 10^7 nodes at this n
-    slow = patterns.parse_pattern("o:0,1,0")
-    _assert_blocks_agree([prop for prop in PROPERTIES + WIDE if prop.spec != slow], samples)
+    assert 1 < rows < 240 and 240 % rows and 320 % rows  # several blocks, the last one short
+    # ordering patterns of several blocks only up to p = 0.3 (9 distinct values):
+    # the whole matrix holds 91, so its one call expands o:0,1,0 into 4095 exact
+    # patterns, and its all-zero rows keep that call from stopping early (15 s)
+    several = [prop for prop in PROPERTIES if prop.spec is not None
+               and prop.spec.kind is PatternKind.ORDERING and len(prop.spec.blocks) > 1]
+    assert len(several) == 3
+    _assert_blocks_agree(several, samples[:240])
+    _assert_blocks_agree([prop for prop in PROPERTIES + WIDE if prop not in several], samples)
 
 
 def test_zero_rows_give_an_empty_answer():
@@ -130,16 +135,54 @@ def test_zero_rows_give_an_empty_answer():
         assert out.dtype == bool and out.shape == (0,)
 
 
-def test_mixed_block_ordering_is_unsupported_on_both_routes(monkeypatch):
+def test_mixed_block_ordering_agrees_on_both_routes(monkeypatch):
+    # o:0,[1,0]: a term, later two adjacent terms, the first above it and the second equal
     prop = Property("contains", spec="o:0,[1,0]")
-    samples = np.array([[0, 1, 0, 2], [3, 3, 3, 3]], dtype=np.int64)
-    with pytest.raises(UnsupportedProperty):
-        prop.holds(samples[0])
-    with pytest.raises(UnsupportedProperty):
-        prop.holds_batch(samples)
-    monkeypatch.setattr(properties, "BLOCK_TERMS", 4)  # one row per block
-    with pytest.raises(UnsupportedProperty):
-        prop.holds_batch(samples)
+    samples = np.array([[0, 1, 0, 2], [3, 3, 3, 3], [1, 0, 2, 1], [2, 0, 3, 1]],
+                       dtype=np.int64)
+    want = [True, False, True, False]
+    assert [prop.holds(row) for row in samples] == want
+    assert prop.holds_batch(samples).tolist() == want
+    monkeypatch.setattr(properties, "BLOCK_TERMS", 4)  # one row per block, its own values
+    assert prop.holds_batch(samples).tolist() == want
+
+
+def test_ordering_occurrence_after_long_runs():
+    # the last three terms hold o:0,1,0; a depth-first search over the 600
+    # leading terms once gave up at its node cap and answered False
+    row = [0] * 200 + [1] * 400 + [2, 3, 2]
+    spec = patterns.parse_pattern("o:0,1,0")
+    report = patterns.match(row, spec, with_positions=True)
+    assert report.count == 1 and report.positions == ((601, 602, 603),)
+    prop = Property("contains", spec=spec)
+    assert prop.holds(row)
+    # the same row without the descent back to 2 holds no occurrence
+    rows = np.array([row, row[:600] + [2, 3, 3]], dtype=np.int8)
+    assert prop.holds_batch(rows).tolist() == [True, False]
+
+
+def test_too_many_values_are_refused_before_any_work(monkeypatch, capsys):
+    # 2500 distinct values give C(2500, 2) exact patterns of o:0,1,0
+    def no_work(*args):
+        raise AssertionError("an exact pattern was counted")
+
+    monkeypatch.setattr(patterns, "_count_anchor_tuples", no_work)
+    monkeypatch.setattr(properties, "_batch_block_chain", no_work)
+    row = list(range(2500))
+    prop = Property("contains", spec="o:0,1,0")
+    for call in (lambda: patterns.match(row, prop.spec), lambda: prop.holds(row),
+                 lambda: prop.holds_batch(np.array([row], dtype=np.int16))):
+        with pytest.raises(GuardExceeded, match="3123750 exact patterns"):
+            call()
+    assert main(["match", ",".join(map(str, row)), "o:0,1,0"], out=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith("error: ordering pattern o:0,1,0")
+
+
+def test_pattern_rows_refuse_other_patterns():
+    with pytest.raises(UnsupportedProperty, match="needs a consecutive pattern"):
+        Property("exact_consec", spec="e:[1],2")
+    with pytest.raises(UnsupportedProperty, match="does not fit 'ordering_consec'"):
+        Property("ordering_consec", spec="e:[0,1]")
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -228,6 +228,10 @@ def test_square_heuristic_monotone():
     k5 = theory.square_threshold(10 ** 5, 0.0).value
     k9 = theory.square_threshold(10 ** 9, 0.0).value
     assert k9 > k5 > 1
+    # the square row's threshold replaces a scaling
+    for n, c in [(10 ** 5, 0.0), (10 ** 9, 0.5)]:
+        assert (theory.threshold_location("square", {"k": 2, "c": c}, n)
+                == theory.square_threshold(n, c))
 
 
 @pytest.mark.parametrize("n", [1, 2])
