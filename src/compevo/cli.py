@@ -18,7 +18,7 @@ import json
 import sys
 
 
-from . import analysis, oracle, render, theory
+from . import analysis, experiment, oracle, render, theory
 from .core import (ChunkError, Composition, GuardExceeded, PatternSpec,
                    UnsupportedProperty, count_compositions)
 from .patterns import PatternSyntaxError, match, parse_pattern
@@ -191,7 +191,6 @@ def cmd_theory(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    from . import experiment  # scipy, through stats: only sweeps need it
     with open(args.config) as fh:
         doc = json.load(fh)
     if args.workers is not None:

@@ -29,8 +29,8 @@ Config schema (JSON, version 1)::
 Unknown keys are rejected at the top level, in ``property``, in ``theory`` and
 in each grid entry, and so is a grid point with n < 1, m < 0, p outside
 [0, 1) or m + n - 1 >= 2**63 (beyond the uniform batch sampler's int64).
-``trials``, ``seed``, ``workers`` and each grid ``n`` and ``m`` must be ints
-(a float or a bool is refused, never truncated).
+A value of the wrong type is refused, never converted: ``trials``, ``seed``, ``workers``
+and grid ``n`` and ``m`` are ints, ``timing`` is a bool and every other number is a real.
 ``Property`` refuses a bad ``params`` key, value or type here as well.
 """
 
@@ -123,36 +123,37 @@ class ExperimentConfig:
         _reject_unknown_keys(pdoc, PROPERTY_KEYS, "property")
         prop = Property(pdoc["statistic"], dict(pdoc.get("params", {})),
                         spec=pdoc.get("pattern"))
-        trials = _integer(doc["trials"], "trials")
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
+        trials = _typed(int, doc["trials"], "trials", least=1)
         workers = doc.get("workers", 1)
         if workers == "auto":
             import os
             workers = os.cpu_count() or 1
+        workers = _typed(int, workers, "workers", least=1)
         theory_mode = None
         if "theory" in doc:
             _reject_unknown_keys(doc["theory"], THEORY_KEYS, "theory")
             theory_mode = doc["theory"].get("poisson")
             if theory_mode not in ("some", "none"):
                 raise ValueError("theory.poisson must be 'some' or 'none'")
-        conf = float(doc.get("confidence", 0.95))
+        conf = _typed(float, doc.get("confidence", 0.95), "confidence")
         if not (0.0 < conf < 1.0):
             raise ValueError("confidence must be in (0, 1)")
         interval = doc.get("interval", "wilson")
-        if interval not in INTERVALS:
+        if not admits(str, interval) or interval not in INTERVALS:
             raise ValueError(f"interval must be one of {sorted(INTERVALS)}, got {interval!r}")
         return cls(model=model, grid=grid, prop=prop, trials=trials,
-                   seed=_integer(doc["seed"], "seed"), confidence=conf, interval=interval,
-                   workers=_integer(workers, "workers"), timing=bool(doc.get("timing", False)),
+                   seed=_typed(int, doc["seed"], "seed"), confidence=conf, interval=interval,
+                   workers=workers, timing=_typed(bool, doc.get("timing", False), "timing"),
                    theory_mode=theory_mode)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` if it is an int, else a ValueError naming ``name``."""
-    if not admits(int, value):
-        raise ValueError(f"{name} must be int, got {value!r}")
-    return int(value)
+def _typed(kind: type, value, name: str, least: int | None = None):
+    """``value`` as a ``kind`` of at least ``least``, else a ValueError naming ``name``."""
+    if not admits(kind, value):
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return kind(value)
 
 
 def _reject_unknown_keys(doc: dict, known: set[str], where: str) -> None:
@@ -166,19 +167,21 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
         pts = []
         for entry in gdoc:
             _reject_unknown_keys(entry, POINT_KEYS[model], "grid point")
-            n = _integer(entry["n"], "grid n")
+            n = _typed(int, entry["n"], "grid n")
             if model == "uniform":
-                pts.append(GridPoint(n=n, model=model, m=_integer(entry["m"], "grid m")))
+                pts.append(GridPoint(n=n, model=model, m=_typed(int, entry["m"], "grid m")))
             else:
-                pts.append(GridPoint(n=n, model=model, p=float(entry["p"])))
+                pts.append(GridPoint(n=n, model=model, p=_typed(float, entry["p"], "grid p")))
         return [_check_point(pt) for pt in pts]
-    n = _integer(gdoc["n"], "grid n")
+    n = _typed(int, gdoc["n"], "grid n")
     if n < 1:  # before n ** c, which fails or means nothing for n < 1
         raise ValueError(f"grid n={n}: need n >= 1")
     if "m_exponents" in gdoc:
         if model != "uniform":
             raise ValueError("m_exponents grid needs the uniform model")
         _reject_unknown_keys(gdoc, M_EXPONENT_KEYS, "grid")
+        for c in gdoc["m_exponents"]:  # an int c keeps n ** c exact
+            _typed(float, c, "grid m_exponents")
         try:
             ms = [int(round(n ** c)) for c in gdoc["m_exponents"]]
         except OverflowError:  # a float n ** c beyond the float range
@@ -190,12 +193,15 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
             raise ValueError("alpha grid needs the geometric model")
         _reject_unknown_keys(gdoc, ALPHA_KEYS, "grid")
         param = gdoc.get("param", "p")
-        e = float(gdoc["exponent"])
+        if param not in ("p", "q"):
+            raise ValueError(f"grid param must be 'p' or 'q', got {param!r}")
+        e = _typed(float, gdoc["exponent"], "grid exponent")
         pts = []
         for a in gdoc["alphas"]:
-            scale = float(a) * n ** e
+            a = _typed(float, a, "grid alphas")
+            scale = a * n ** e
             p = scale if param == "p" else 1.0 - scale
-            pts.append(_check_point(GridPoint(n=n, model=model, p=p, alpha=float(a))))
+            pts.append(_check_point(GridPoint(n=n, model=model, p=p, alpha=a)))
         return pts
     raise ValueError("grid must be a point list or a parametric description")
 

@@ -1,25 +1,28 @@
-"""Confidence intervals and goodness-of-fit helpers for Monte Carlo output."""
+"""Binomial confidence intervals for Monte Carlo output, from the standard library.
 
-from __future__ import annotations
+Wilson (1927) takes z from ``statistics.NormalDist``.  Clopper & Pearson, Biometrika 26
+(1934), take beta quantiles bisected on the regularized incomplete beta I_x(a, b): its
+prefactor from ``math.lgamma``, its continued fraction (Press et al., Numerical Recipes,
+3rd ed., section 6.4) by modified Lentz.
+"""
 
 import math
-
-import numpy as np
-from scipy import stats as sps
+from statistics import NormalDist
 
 from .core import EstimateResult
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion, exact at 0 and at ``trials`` successes."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    z = sps.norm.ppf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
-    return max(center - half, 0.0), min(center + half, 1.0)
+    return (0.0 if successes == 0 else max(center - half, 0.0),
+            1.0 if successes == trials else min(center + half, 1.0))
 
 
 def clopper_pearson_interval(successes: int, trials: int,
@@ -28,9 +31,41 @@ def clopper_pearson_interval(successes: int, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     a = (1.0 - confidence) / 2.0
-    lo = 0.0 if successes == 0 else float(sps.beta.ppf(a, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(sps.beta.ppf(1 - a, successes + 1, trials - successes))
+    lo = 0.0 if successes == 0 else _beta_ppf(a, successes, trials - successes + 1)
+    hi = 1.0 if successes == trials else _beta_ppf(1 - a, successes + 1, trials - successes)
     return lo, hi
+
+
+def _beta_ppf(q: float, a: float, b: float) -> float:
+    """The x with I_x(a, b) = q, bisected until lo and hi are adjacent floats."""
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if _beta_cdf(mid, a, b) < q else (lo, mid)
+    return mid
+
+
+def _beta_cdf(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for 0 < x < 1 and a, b >= 1."""
+    if x > (a + 1) / (a + b + 2):  # the fraction converges fast below the mean only
+        return 1.0 - _beta_cdf(1.0 - x, b, a)
+    return math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x)
+                    + b * math.log1p(-x)) * _beta_fraction(x, a, b) / a
+
+
+def _beta_fraction(x: float, a: float, b: float) -> float:
+    """The continued fraction of I_x(a, b) below the mean, by modified Lentz."""
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1))  # x < (a + 1) / (a + b): d > 0
+    h = d
+    for m in range(1, 1 << 20):  # about sqrt(max(a, b)): 417 at 10^6 trials, 1830 at 10^8
+        # the even term d_2m, then the odd term d_2m+1
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / (1.0 + num * d)
+            c = 1.0 + num / c
+            h *= d * c
+        if abs(d * c - 1.0) < 2.0 ** -52:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
 
 
 INTERVALS = {"wilson": wilson_interval, "clopper-pearson": clopper_pearson_interval}
@@ -44,43 +79,3 @@ def proportion_estimate(successes: int, trials: int, seed: int,
     phat = successes / trials
     return EstimateResult(point=phat, ci_low=min(lo, phat), ci_high=max(hi, phat),
                           trials=trials, seed=seed, confidence=confidence)
-
-
-def mean_estimate(values: np.ndarray, seed: int, confidence: float = 0.95) -> EstimateResult:
-    """Normal-theory interval for a sample mean."""
-    values = np.asarray(values, dtype=float)
-    trials = values.shape[0]
-    m = float(values.mean())
-    se = float(values.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
-    z = sps.norm.ppf(0.5 + confidence / 2.0)
-    return EstimateResult(point=m, ci_low=m - z * se, ci_high=m + z * se,
-                          trials=trials, seed=seed, confidence=confidence)
-
-
-def chi_square_gof(observed: np.ndarray, expected_probs: np.ndarray) -> tuple[float, float]:
-    """One-sample chi-square against given cell probabilities; (stat, p-value)."""
-    observed = np.asarray(observed, dtype=float)
-    expected = np.asarray(expected_probs, dtype=float) * observed.sum()
-    keep = expected > 0
-    if not np.all(observed[~keep] == 0):
-        return math.inf, 0.0
-    stat, p = sps.chisquare(observed[keep], expected[keep])
-    return float(stat), float(p)
-
-
-def chi_square_two_sample(counts_a: np.ndarray, counts_b: np.ndarray) -> tuple[float, float]:
-    """Two-sample chi-square homogeneity test over a shared support."""
-    table = np.vstack([np.asarray(counts_a, float), np.asarray(counts_b, float)])
-    keep = table.sum(axis=0) > 0
-    stat, p, _, _ = sps.chi2_contingency(table[:, keep])
-    return float(stat), float(p)
-
-
-def poisson_total_variation(counts: np.ndarray, mean: float) -> float:
-    """TV distance between the empirical law of counts and Poisson(mean)."""
-    counts = np.asarray(counts)
-    hi = max(int(counts.max(initial=0)), int(math.ceil(mean + 10 * math.sqrt(mean + 1))))
-    support = np.arange(hi + 1)
-    emp = np.bincount(counts, minlength=hi + 1) / counts.shape[0]
-    pois = sps.poisson.pmf(support, mean)
-    return 0.5 * (float(np.abs(emp - pois).sum()) + float(1.0 - pois.sum()))

@@ -1,4 +1,8 @@
+import math
+
+import numpy as np
 import pytest
+from scipy import stats as sps
 
 from compevo.properties import Property
 
@@ -170,3 +174,22 @@ def naive_stats(terms):
         "is_carlitz": all(terms[i] != terms[i - 1] for i in range(1, n)),
         "max_multiplicity": mult,
     }
+
+
+def chi_square_gof(observed, expected_probs) -> tuple[float, float]:
+    """One-sample chi-square against given cell probabilities; (stat, p-value)."""
+    observed = np.asarray(observed, dtype=float)
+    expected = np.asarray(expected_probs, dtype=float) * observed.sum()
+    keep = expected > 0
+    if not np.all(observed[~keep] == 0):
+        return math.inf, 0.0
+    stat, p = sps.chisquare(observed[keep], expected[keep])
+    return float(stat), float(p)
+
+
+def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
+    """Two-sample chi-square homogeneity test over a shared support."""
+    table = np.vstack([np.asarray(counts_a, float), np.asarray(counts_b, float)])
+    keep = table.sum(axis=0) > 0
+    stat, p, _, _ = sps.chi2_contingency(table[:, keep])
+    return float(stat), float(p)

@@ -24,8 +24,8 @@ from compevo.properties import Property
 from compevo.rng import RngStream
 from compevo.samplers import (bridge_terms, geometric_terms, sample_uniform_chain,
                               uniform_bars_batch)
-from compevo.stats import chi_square_gof, chi_square_two_sample
-from conftest import CHART_A, CHART_B, naive_match_count, naive_stats
+from conftest import (CHART_A, CHART_B, chi_square_gof, chi_square_two_sample,
+                      naive_match_count, naive_stats)
 
 import io
 

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import pickle
+import re
 import time
 
 import pytest
@@ -90,6 +91,25 @@ def test_config_validation_errors():
         _config(grid=[{"n": 0, "p": 0.1}])
     with pytest.raises(ValueError, match=r"p=-1.0, alpha=20.0\)"):
         _config(grid={"n": 100, "alphas": [20.0], "param": "q", "exponent": -0.5})
+    # each of these parsed or raised a bare TypeError: bool("false") turned timing
+    # on, workers < 1 ran serially, and a bool or a string stood in for a real
+    alphas = {"n": 100, "alphas": [1.0], "exponent": -0.5}
+    for overrides, message in [
+            ({"timing": "false"}, "timing must be bool, got 'false'"),
+            ({"confidence": "0.9"}, "confidence must be float, got '0.9'"),
+            ({"interval": ["wilson"]},
+             "interval must be one of ['clopper-pearson', 'wilson'], got ['wilson']"),
+            ({"workers": 0}, "workers must be >= 1, got 0"),
+            ({"workers": -3}, "workers must be >= 1, got -3"),
+            ({"grid": [{"n": 50, "p": False}]}, "grid p must be float, got False"),
+            ({"grid": [{"n": 50, "p": "0.3"}]}, "grid p must be float, got '0.3'"),
+            ({"grid": {**alphas, "alphas": [True]}}, "grid alphas must be float, got True"),
+            ({"grid": {**alphas, "exponent": "-0.5"}}, "grid exponent must be float, got '-0.5'"),
+            ({"grid": {**alphas, "param": "x"}}, "grid param must be 'p' or 'q', got 'x'"),
+            ({"grid": {"n": 100, "m_exponents": ["0.5"]}, **uniform},
+             "grid m_exponents must be float, got '0.5'")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _config(**overrides)
 
 
 @pytest.mark.parametrize("overrides,field,value", [

@@ -13,7 +13,7 @@ from compevo.samplers import (SPARSE_BELOW, _sparse_geometric_terms, bridge_term
                               evolve_step, geometric_terms, sample_bridge, sample_geometric,
                               sample_geometric_conditioned, sample_uniform_bars,
                               sample_uniform_chain, uniform_bars_batch)
-from compevo.stats import chi_square_gof, chi_square_two_sample
+from conftest import chi_square_gof, chi_square_two_sample
 
 ALPHA = 1e-4
 

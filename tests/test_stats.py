@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from compevo.stats import (chi_square_gof, chi_square_two_sample,
-                           clopper_pearson_interval, mean_estimate,
-                           poisson_total_variation, proportion_estimate,
-                           wilson_interval)
+from compevo.experiment import _fmt
+from compevo.stats import clopper_pearson_interval, proportion_estimate, wilson_interval
+from conftest import chi_square_gof, chi_square_two_sample
 
 
 def test_wilson_basic():
@@ -20,10 +19,12 @@ def test_wilson_basic():
 
 
 def test_wilson_edges():
-    lo, hi = wilson_interval(0, 20)
-    assert lo == 0.0 and hi > 0.0
-    lo, hi = wilson_interval(20, 20)
-    assert hi == 1.0 and lo < 1.0
+    # the endpoints are exact: center - half rounds to 2.7e-20 at 0 of 8192
+    for trials in (20, 8192, 10 ** 4):
+        lo, hi = wilson_interval(0, trials)
+        assert lo == 0.0 and hi > 0.0
+        lo, hi = wilson_interval(trials, trials)
+        assert hi == 1.0 and lo < 1.0
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
 
@@ -35,6 +36,33 @@ def test_clopper_pearson_edges():
     assert hi == pytest.approx(1 - 0.025 ** (1 / 10))
     lo, hi = clopper_pearson_interval(10, 10)
     assert hi == 1.0 and lo == pytest.approx(0.025 ** (1 / 10))
+
+
+def test_clopper_pearson_matches_scipy_beta_quantiles():
+    for trials in (1, 2, 10, 100, 4096, 8192, 10 ** 5, 10 ** 6):
+        for s in sorted({0, 1, trials // 3, trials // 2, trials - 1, trials}):
+            for confidence in (0.9, 0.95, 0.99):
+                a = (1 - confidence) / 2
+                lo, hi = clopper_pearson_interval(s, trials, confidence)
+                ref_lo = 0.0 if s == 0 else sps.beta.ppf(a, s, trials - s + 1)
+                ref_hi = 1.0 if s == trials else sps.beta.ppf(1 - a, s + 1, trials - s)
+                assert lo == pytest.approx(ref_lo, rel=1e-8, abs=0), (s, trials, confidence)
+                assert hi == pytest.approx(ref_hi, rel=1e-8, abs=0), (s, trials, confidence)
+
+
+def test_wilson_csv_cells_match_scipy_normal_quantile():
+    # the sweep CSV prints ci_low and ci_high with _fmt; the z of
+    # statistics.NormalDist and of scipy differ in the last bit at 0.95
+    z = sps.norm.ppf(0.975)
+    for trials in (4096, 8192):
+        for s in range(trials + 1):
+            phat = s / trials
+            denom = 1 + z * z / trials
+            center = (phat + z * z / (2 * trials)) / denom
+            half = z / denom * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials ** 2))
+            est = proportion_estimate(s, trials, 0)
+            assert _fmt(est.ci_low) == _fmt(min(max(center - half, 0.0), phat)), (s, trials)
+            assert _fmt(est.ci_high) == _fmt(max(min(center + half, 1.0), phat)), (s, trials)
 
 
 def test_clopper_pearson_contains_wilson_roughly():
@@ -56,17 +84,6 @@ def test_proportion_estimate():
 def test_proportion_estimate_clopper():
     est = proportion_estimate(0, 50, 0, method="clopper-pearson")
     assert est.point == 0.0 and est.ci_low == 0.0 and est.ci_high > 0.0
-
-
-def test_mean_estimate():
-    rng = np.random.default_rng(5)
-    vals = rng.normal(3.0, 1.0, size=10 ** 4)
-    est = mean_estimate(vals, seed=5)
-    assert abs(est.point - 3.0) < 4 / 100  # within 4 SE of the true mean
-    assert est.ci_low <= est.point <= est.ci_high
-    assert est.ci_high - est.ci_low == pytest.approx(2 * 1.96 / 100, rel=0.05)
-    single = mean_estimate(np.array([4.0]), seed=0)
-    assert single.point == 4.0 and single.ci_low == single.ci_high == 4.0
 
 
 def test_chi_square_gof():
@@ -91,22 +108,3 @@ def test_chi_square_two_sample():
     c = np.bincount(rng.choice(5, p=[0.4, 0.3, 0.1, 0.1, 0.1], size=10 ** 4))
     _, p = chi_square_two_sample(a, c)
     assert p < 1e-6
-
-
-def test_poisson_total_variation():
-    rng = np.random.default_rng(13)
-    counts = rng.poisson(2.0, size=10 ** 5)
-    assert poisson_total_variation(counts, 2.0) < 0.01
-    assert poisson_total_variation(counts, 5.0) > 0.3
-    # degenerate data far from any Poisson mass profile
-    assert poisson_total_variation(np.full(100, 50), 1.0) > 0.99
-
-
-def test_poisson_tv_against_direct_sum():
-    counts = np.array([0, 0, 1, 2, 2, 3])
-    mean = 1.5
-    hi = 50
-    emp = np.bincount(counts, minlength=hi + 1) / counts.shape[0]
-    pois = sps.poisson.pmf(np.arange(hi + 1), mean)
-    direct = 0.5 * (np.abs(emp - pois).sum() + (1 - pois.sum()))
-    assert poisson_total_variation(counts, mean) == pytest.approx(direct, abs=1e-9)
