@@ -5,6 +5,17 @@ into fixed-size chunks; the chunk index, never the worker id, selects the
 RNG substream, and per-point results are integer success counts, so the
 output is byte-identical for any worker count.
 
+With ``workers`` > 1 the chunks run on a process pool that is kept between
+sweeps: the next sweep with the same count reuses its warm workers, another
+count shuts it down and starts a new one, and a sweep that fails (a chunk's
+error, a dead worker, an interrupt) shuts it down with its queued chunks
+cancelled, so the next sweep starts clean.  The workers exit with the
+interpreter.  They are forked once, so they keep the module state of that
+moment and do not see a later change to it (a monkeypatch, say).  Between
+sweeps each idle worker holds its heap, about 50 MB at n = 2500.  No byte of
+output depends on whether a pool is new or reused.  ``compevo sweep`` runs
+one sweep per process, so it neither gains nor loses by this.
+
 Config schema (JSON, version 1)::
 
     {
@@ -38,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -242,6 +254,32 @@ def _run_task(task) -> tuple[int, int, float]:
     return pi, hits, time.perf_counter() - t0
 
 
+# the worker pool kept between sweeps, under its worker count; at most one entry
+_POOLS: dict[int, ProcessPoolExecutor] = {}
+_POOL_LOCK = threading.Lock()  # held by the one sweep that uses or replaces the pool
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The kept pool of ``workers`` processes; another count replaces it.
+
+    The old pool is shut down before the new one forks, so that no thread of
+    a pool is running at the fork.
+    """
+    pool = _POOLS.get(workers)
+    if pool is None:
+        _drop_pool()
+        pool = _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
+    return pool
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down, its queued chunks cancelled, and forget it."""
+    pools = list(_POOLS.values())
+    _POOLS.clear()
+    for pool in pools:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     # theory first: a real error in it must surface before any Monte Carlo work
     theory_values = [_theory_value(config, point) for point in config.grid]
@@ -257,11 +295,13 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     if config.workers <= 1:
         results = [_run_task(t) for t in tasks]
     else:
-        pool = ProcessPoolExecutor(max_workers=config.workers)
-        try:
-            results = list(pool.map(_run_task, tasks, chunksize=1))
-        finally:
-            pool.shutdown()
+        with _POOL_LOCK:
+            try:
+                results = list(_pool(config.workers).map(_run_task, tasks, chunksize=1))
+            except BaseException:
+                # a failed sweep leaves no queued chunk behind and no pool to the next one
+                _drop_pool()
+                raise
     for pi, hits, secs in results:
         successes[pi] += hits
         seconds[pi] += secs

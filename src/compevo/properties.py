@@ -9,10 +9,9 @@
 * a vectorized predicate on a (trials, n) sample matrix, the Monte Carlo
   fast path.  Its loops run over pattern length and block count, never over
   trials.  An ordering pattern of several blocks holds where one of its exact
-  patterns (``patterns.exact_patterns`` over the values of the row block)
-  does, so a block whose values give more than ``patterns.ASSIGNMENT_CAP``
-  of them is refused with ``GuardExceeded``, as ``patterns.match`` refuses
-  such a row.
+  patterns (``patterns.exact_patterns`` over the values of the row) does, so
+  a row whose values give more than ``patterns.ASSIGNMENT_CAP`` of them is
+  refused with ``GuardExceeded``, as ``patterns.match`` refuses it.
   ``Property.holds_batch`` hands it the matrix in row blocks of about
   ``BLOCK_TERMS`` terms, so that its temporaries stay in cache; a row's
   answer depends on that row alone, so the split never changes an answer;
@@ -35,7 +34,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analysis, oracle, patterns, theory
-from .core import BlockStructure, PatternKind, PatternSpec, UnsupportedProperty, as_terms
+from .core import (BlockStructure, GuardExceeded, PatternKind, PatternSpec, UnsupportedProperty,
+                   as_terms)
 from .theory import Scaling
 
 REQUIRED = object()  # the default of a parameter that must be given
@@ -191,14 +191,38 @@ def _pattern_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
     spec = prop.spec
     if len(spec.blocks) == 1:
         return _batch_consecutive(samples, spec)
-    # an ordering pattern holds where one of its exact patterns over the block's values does
-    chains = (patterns.exact_patterns(spec, np.unique(samples).tolist())
-              if spec.kind is PatternKind.ORDERING else [spec])
-    found = np.zeros(samples.shape[0], dtype=bool)
+    if spec.kind is PatternKind.ORDERING:
+        return _ordering_batch(samples, spec)
+    return _batch_block_chain(samples, spec)
+
+
+def _ordering_batch(samples: np.ndarray, spec: PatternSpec) -> np.ndarray:
+    """An ordering pattern of several blocks holds where one of its exact
+    patterns over the row's values does.
+
+    The exact patterns come from the values of all the rows, each scanned only
+    over the rows not found yet that hold every one of its values.  Rows whose
+    values give more than ``patterns.ASSIGNMENT_CAP`` of them are halved until
+    each part is under it, so a row is refused only as ``patterns.match``
+    refuses it.
+    """
+    trials = samples.shape[0]
+    values = np.unique(samples)
+    try:
+        chains = patterns.exact_patterns(spec, values.tolist())
+    except GuardExceeded:
+        if trials <= 1:
+            raise
+        return np.concatenate([_ordering_batch(samples[:trials // 2], spec),
+                               _ordering_batch(samples[trials // 2:], spec)])
+    present = np.zeros((trials, values.size), dtype=bool)  # row i holds values[j]
+    present[np.arange(trials)[:, None], np.searchsorted(values, samples)] = True
+    found = np.zeros(trials, dtype=bool)
     for chain in chains:
-        found |= _batch_block_chain(samples, chain)
-        if found.all():
-            break
+        cols = np.searchsorted(values, sorted(set(chain.terms)))
+        todo = np.flatnonzero(~found & present[:, cols].all(axis=1))
+        if todo.size:
+            found[todo] = _batch_block_chain(samples[todo], chain)
     return found
 
 
@@ -342,11 +366,27 @@ def _square_holds(prop: Property, c) -> bool:
 
 
 def _any_square_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
-    kmax = min(int(samples.max(initial=0)), samples.shape[1])
-    out = np.zeros(samples.shape[0], dtype=bool)
-    # from min_k <= 0 on, side 0 is found on every row by _has_true_run
-    for k in range(max(prop.params["min_k"], 0), kmax + 1):
-        out |= _has_true_run(samples == k, k)
+    """A square of side k >= min_k is a run of k terms equal to k.
+
+    ``run`` marks where k equal terms start whose value could still be a side:
+    at least k and min_k, so never zero.  It grows by one term per pass, so
+    the passes stop at the longest such run, not at the largest term squared.
+    """
+    min_k = prop.params["min_k"]
+    trials, n = samples.shape
+    if min_k <= 0:  # side 0: every row
+        return np.ones(trials, dtype=bool)
+    out = np.zeros(trials, dtype=bool)
+    run = samples >= min_k
+    for k in range(1, n + 1):
+        if k > 1:
+            run = run[:, :-1] & (samples[:, k - 1:] == samples[:, : n - k + 1])
+        if not run.any():
+            break
+        if k >= min_k:
+            square = run & (samples[:, : n - k + 1] == k)
+            out |= square.any(axis=1)
+            run ^= square  # a run of k's is no square of a larger side
     return out
 
 

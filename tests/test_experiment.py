@@ -1,9 +1,16 @@
 import io
 import json
 import math
+import multiprocessing
+import os
 import pickle
 import re
+import signal
+import subprocess
+import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +222,95 @@ def test_worker_count_invariance(model, grid, prop):
     parallel = rows_to_csv(run_sweep(ExperimentConfig.from_dict(
         {**base, "workers": 2})))
     assert serial == parallel
+
+
+# two points at n = 2500, two chunks each: four tasks of about 10 ms
+POOL_SWEEP = {
+    "version": 1, "model": "geometric", "grid": [{"n": 2500, "p": 0.02}, {"n": 2500, "p": 0.04}],
+    "property": {"statistic": "cmax_ge", "params": {"k": 2}}, "trials": CHUNK + 100, "seed": 5,
+}
+
+
+def _pool_sweep(workers: int, **overrides) -> str:
+    doc = {**POOL_SWEEP, "workers": workers, **overrides}
+    return rows_to_csv(run_sweep(ExperimentConfig.from_dict(doc)))
+
+
+def _worker_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@pytest.fixture
+def no_pool():
+    """No kept pool before the test, and none left after it."""
+    experiment._drop_pool()
+    assert _worker_pids() == set()
+    yield
+    experiment._drop_pool()
+
+
+def test_the_pool_is_kept_between_sweeps(no_pool):
+    serial = _pool_sweep(1)
+    assert _worker_pids() == set()  # one worker is the serial path: no pool
+    first = _pool_sweep(2)
+    pids = _worker_pids()
+    assert len(pids) == 2
+    assert _pool_sweep(2) == first == serial
+    assert _worker_pids() == pids
+    # another worker count shuts the kept pool down and starts a new one
+    assert _pool_sweep(3) == serial
+    three = _worker_pids()
+    assert len(three) == 3 and not three & pids
+    assert all(_gone(pid) for pid in pids)
+
+
+def test_a_killed_worker_fails_its_sweep_and_the_next_starts_clean(no_pool):
+    serial = _pool_sweep(1)
+    _pool_sweep(2)
+    pids = _worker_pids()
+    victim = min(pids)
+    os.kill(victim, signal.SIGKILL)
+    try:  # wait for its death, leaving it for the pool to reap
+        os.waitid(os.P_PID, victim, os.WEXITED | os.WNOWAIT)
+    except ChildProcessError:  # the pool has seen it die and reaped it already
+        pass
+    with pytest.raises(BrokenProcessPool):
+        _pool_sweep(2)
+    assert _pool_sweep(2) == serial
+    fresh = _worker_pids()
+    assert len(fresh) == 2 and not fresh & pids
+
+
+def test_a_chunk_error_leaves_the_next_sweep_correct(no_pool):
+    # each row holds more than 30 distinct values, so the worker's first row
+    # needs more than ASSIGNMENT_CAP exact patterns of o:0,1,2
+    with pytest.raises(ChunkError, match="GuardExceeded"):
+        _pool_sweep(2, grid=[{"n": 500, "p": 0.97}],
+                    property={"statistic": "contains", "pattern": "o:0,1,2"})
+    assert _worker_pids() == set()
+    assert _pool_sweep(2) == _pool_sweep(1)
+
+
+def test_workers_exit_with_the_interpreter(no_pool):
+    code = ("import json, multiprocessing\n"
+            "from compevo.experiment import ExperimentConfig, run_sweep\n"
+            f"run_sweep(ExperimentConfig.from_dict({{**{POOL_SWEEP!r}, 'workers': 2}}))\n"
+            "print(json.dumps([c.pid for c in multiprocessing.active_children()]))\n")
+    src = str(Path(experiment.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    pids = json.loads(proc.stdout)
+    assert len(pids) == 2
+    assert all(_gone(pid) for pid in pids)
 
 
 def test_theory_column():

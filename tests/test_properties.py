@@ -9,6 +9,7 @@ one call of the row's predicate on the whole matrix.
 
 import io
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -113,20 +114,31 @@ def test_routes_agree_on_edge_shapes(monkeypatch, rows):
     _assert_blocks_agree(PROPERTIES + WIDE, np.concatenate([rows] * 5))
 
 
+def _real_size_rows():
+    """40 rows of 2500 terms at each p, so that most statistics hold on some rows
+    and not others; 91 distinct values in all, and 17 all-zero rows."""
+    return np.concatenate([geometric_terms(2500, p, RngStream(5, i), count=40) for i, p in
+                           enumerate((0.0005, 0.002, 0.01, 0.03, 0.1, 0.3, 0.6, 0.9))])
+
+
 def test_row_blocks_at_the_real_block_size():
-    # 40 rows at each p, so that most statistics hold on some rows and not others
-    samples = np.concatenate([geometric_terms(2500, p, RngStream(5, i), count=40) for i, p in
-                              enumerate((0.0005, 0.002, 0.01, 0.03, 0.1, 0.3, 0.6, 0.9))])
+    samples = _real_size_rows()
     rows = properties.BLOCK_TERMS // 2500
-    assert 1 < rows < 240 and 240 % rows and 320 % rows  # several blocks, the last one short
-    # ordering patterns of several blocks only up to p = 0.3 (9 distinct values):
-    # the whole matrix holds 91, so its one call expands o:0,1,0 into 4095 exact
-    # patterns, and its all-zero rows keep that call from stopping early (15 s)
-    several = [prop for prop in PROPERTIES if prop.spec is not None
-               and prop.spec.kind is PatternKind.ORDERING and len(prop.spec.blocks) > 1]
-    assert len(several) == 3
-    _assert_blocks_agree(several, samples[:240])
-    _assert_blocks_agree([prop for prop in PROPERTIES + WIDE if prop not in several], samples)
+    assert 1 < rows < 320 and 320 % rows  # several blocks, the last one short
+    _assert_blocks_agree(PROPERTIES + WIDE, samples)
+
+
+def test_ordering_patterns_scan_only_the_rows_not_found():
+    # one call expands o:0,1,0 over all 91 values into 4095 exact patterns; the
+    # rows without it once made every pattern scan every row (15 s)
+    samples = _real_size_rows()
+    samples[-1] = 0
+    prop = Property("contains", spec="o:0,1,0")
+    t0 = time.perf_counter()
+    whole = STATISTICS["contains"].holds_batch(prop, samples)
+    assert time.perf_counter() - t0 < 3.0
+    assert not whole[samples.max(axis=1) == 0].any() and whole.sum() > 250
+    assert prop.holds_batch(samples).tolist() == whole.tolist()
 
 
 def test_zero_rows_give_an_empty_answer():
@@ -176,6 +188,48 @@ def test_too_many_values_are_refused_before_any_work(monkeypatch, capsys):
             call()
     assert main(["match", ",".join(map(str, row)), "o:0,1,0"], out=io.StringIO()) == 2
     assert capsys.readouterr().err.startswith("error: ordering pattern o:0,1,0")
+
+
+@pytest.mark.parametrize("p", [0.02, 0.5, 0.9, 0.99])
+def test_any_square_routes_agree_at_any_term_size(p):
+    # the batch route once made a pass per side up to the largest term, each
+    # as long as the side: 5.8 s per 4096-row chunk at p = 0.9
+    samples = geometric_terms(2500, p, RngStream(7, 0), count=24).astype(np.int64)
+    samples[:3, 99:108] = 0
+    samples[0, 100:107] = 7  # a square of side 7
+    samples[1, 100:106] = 7  # six 7s: no square of side 7 or 6
+    samples[2, 100:107] = 8  # seven 8s: none of side 8 or 7
+    for min_k in (1, 2, 3, 6, 7):
+        _assert_routes_agree(Property("any_square", {"min_k": min_k}), samples)
+    assert Property("any_square", {"min_k": 7}).holds_batch(samples)[:3].tolist() == [
+        True, False, False]
+
+
+def test_rows_under_the_cap_are_answered_whatever_their_union():
+    # each row holds at most 30 distinct values, so it needs at most C(30, 3) =
+    # 4060 exact patterns of o:0,1,2, but the four rows hold 72 values; the
+    # batch route once expanded the pattern over their union and refused them
+    rng = np.random.default_rng(3)
+    samples = np.array([
+        rng.permutation(np.arange(30) % 12),            # 12 values in random order
+        np.repeat(np.arange(114, 99, -1), 2),            # never rising
+        np.repeat(np.r_[np.arange(207, 199, -1), np.arange(214, 207, -1)], 2),  # rising once
+        rng.permutation(np.arange(300, 330)),
+    ])
+    assert [np.unique(row).size for row in samples] == [12, 15, 15, 30]
+    assert np.unique(samples).size == 72
+    specs = [prop.spec for prop in PROPERTIES if prop.spec is not None
+             and prop.spec.kind is PatternKind.ORDERING and len(prop.spec.blocks) > 1]
+    for spec in specs + [patterns.parse_pattern(text) for text in ("o:0,1,2", "o:[0,1],2")]:
+        _assert_routes_agree(Property("contains", spec=spec), samples)
+    assert Property("contains", spec="o:0,1,2").holds_batch(samples).tolist() == [
+        True, False, False, True]
+    # a row of 31 values is refused by both routes, whatever rows are beside it
+    over = np.vstack([np.c_[samples, samples[:, -1]], np.arange(400, 431)])
+    prop = Property("contains", spec="o:0,1,2")
+    for call in (lambda: prop.holds(over[-1]), lambda: prop.holds_batch(over)):
+        with pytest.raises(GuardExceeded, match="over 31 distinct values"):
+            call()
 
 
 def test_pattern_rows_refuse_other_patterns():
