@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 
 from . import analysis, experiment, oracle, render, theory
@@ -191,21 +192,35 @@ def cmd_theory(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    if args.workers is not None:
-        doc["workers"] = args.workers
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    config = experiment.ExperimentConfig.from_dict(doc)
-    rows = experiment.run_sweep(config)
-    text = (experiment.rows_to_csv(rows) if args.format == "csv"
-            else experiment.rows_to_json(rows))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    """One sweep per config, all in this process, so that a worker pool is
+    started once and kept for every sweep of the same worker count."""
+    if len(args.config) > 1 and args.output_dir is None:
+        raise UsageError("several configs need --output-dir")
+    names = [Path(path).stem + "." + args.format for path in args.config]
+    if len(set(names)) < len(names):
+        raise UsageError("two configs would write the same file: their names must differ")
+    configs = []  # every config is checked before any sweep runs
+    for path in args.config:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if args.workers is not None:
+            doc["workers"] = args.workers
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        configs.append(experiment.ExperimentConfig.from_dict(doc))
+    if args.output_dir is not None:
+        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+    for name, config in zip(names, configs):
+        rows = experiment.run_sweep(config)
+        text = (experiment.rows_to_csv(rows) if args.format == "csv"
+                else experiment.rows_to_json(rows))
+        target = (Path(args.output_dir) / name if args.output_dir is not None
+                  else args.output)
+        if target:
+            with open(target, "w") as fh:
+                fh.write(text)
+        else:
+            out.write(text)
     return 0
 
 
@@ -277,9 +292,12 @@ def build_parser() -> _Parser:
     p.add_argument("params", nargs="*")
     p.set_defaults(func=cmd_theory)
 
-    p = sub.add_parser("sweep", help="run a config-driven Monte Carlo sweep")
-    p.add_argument("config")
-    p.add_argument("--output", default=None)
+    p = sub.add_parser("sweep", help="run config-driven Monte Carlo sweeps")
+    p.add_argument("config", nargs="+")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--output", default=None, help="the file of one config's rows")
+    g.add_argument("--output-dir", default=None,
+                   help="write each config's rows to DIR/<config name>.csv (or .json)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

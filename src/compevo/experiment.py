@@ -13,8 +13,9 @@ cancelled, so the next sweep starts clean.  The workers exit with the
 interpreter.  They are forked once, so they keep the module state of that
 moment and do not see a later change to it (a monkeypatch, say).  Between
 sweeps each idle worker holds its heap, about 50 MB at n = 2500.  No byte of
-output depends on whether a pool is new or reused.  ``compevo sweep`` runs
-one sweep per process, so it neither gains nor loses by this.
+output depends on whether a pool is new or reused.  ``compevo sweep`` given
+several configs runs them all in one process and so on one pool; given one
+config it neither gains nor loses by this.
 
 Config schema (JSON, version 1)::
 
@@ -254,8 +255,8 @@ def _run_task(task) -> tuple[int, int, float]:
     return pi, hits, time.perf_counter() - t0
 
 
-# the worker pool kept between sweeps, under its worker count; at most one entry
-_POOLS: dict[int, ProcessPoolExecutor] = {}
+# the worker pool kept between sweeps, with its worker count
+_POOL: tuple[int, ProcessPoolExecutor] | None = None
 _POOL_LOCK = threading.Lock()  # held by the one sweep that uses or replaces the pool
 
 
@@ -265,18 +266,18 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     The old pool is shut down before the new one forks, so that no thread of
     a pool is running at the fork.
     """
-    pool = _POOLS.get(workers)
-    if pool is None:
+    global _POOL
+    if _POOL is None or _POOL[0] != workers:
         _drop_pool()
-        pool = _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
-    return pool
+        _POOL = workers, ProcessPoolExecutor(max_workers=workers)
+    return _POOL[1]
 
 
 def _drop_pool() -> None:
     """Shut the kept pool down, its queued chunks cancelled, and forget it."""
-    pools = list(_POOLS.values())
-    _POOLS.clear()
-    for pool in pools:
+    global _POOL
+    if _POOL is not None:
+        pool, _POOL = _POOL[1], None
         pool.shutdown(cancel_futures=True)
 
 

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from compevo import experiment
 from compevo.properties import Property
+
+
+@pytest.fixture(autouse=True)
+def _drop_kept_pool():
+    """Shut down the pool run_sweep kept, if any, after each test.  Its workers
+    keep the module state of the moment they were forked, so a pool kept past
+    one test would carry that test's state (a monkeypatch, say) into the next."""
+    yield
+    experiment._drop_pool()
+
 
 # 50-term composition of 80 used in the chart-fidelity tests
 CHART_A = [0, 0, 2, 3, 1, 0, 1, 5, 0, 0, 0, 3, 2, 0, 1, 1, 2, 2, 2, 0,

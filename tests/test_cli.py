@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import compevo
+from compevo import experiment
 from compevo.cli import main, parse_composition
 
 
@@ -347,6 +348,41 @@ def test_sweep_json_format(tmp_path):
     assert code == 0
     (row,) = json.loads(out)
     assert row["n"] == 3 and row["trials"] == 500
+
+
+def test_sweep_of_several_configs_writes_one_file_each(tmp_path):
+    cfg = {"version": 1, "model": "geometric", "grid": [{"n": 20, "p": 0.3}],
+           "property": {"statistic": "cmax_ge", "params": {"k": 2}}, "trials": 500, "seed": 5}
+    paths = []
+    for k in (2, 3):
+        path = tmp_path / f"k{k}.json"
+        path.write_text(json.dumps({**cfg, "property": {"statistic": "cmax_ge", "params": {"k": k}}}))
+        paths.append(str(path))
+    alone = [run_cli("sweep", path)[1] for path in paths]
+    out = tmp_path / "rows"
+    code, text = run_cli("sweep", *paths, "--output-dir", str(out), "--workers", "2")
+    assert code == 0 and text == ""
+    assert [(out / f"k{k}.csv").read_text() for k in (2, 3)] == alone
+    assert alone[0] != alone[1]
+    # several configs need a directory, and two of one name would overwrite each other
+    assert run_cli("sweep", *paths)[0] == 1
+    assert run_cli("sweep", *paths, "--output", str(tmp_path / "x.csv"))[0] == 1
+    (tmp_path / "other").mkdir()
+    twin = tmp_path / "other" / "k2.json"
+    twin.write_text(json.dumps(cfg))
+    assert run_cli("sweep", paths[0], str(twin), "--output-dir", str(out))[0] == 1
+    # a bad config anywhere stops the run before any sweep
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\"version\": 99}")
+    assert run_cli("sweep", paths[0], str(bad), "--output-dir", str(tmp_path / "none"))[0] == 1
+    assert not (tmp_path / "none").exists()
+
+
+def test_shipped_configs_load():
+    shipped = sorted((Path(__file__).resolve().parents[1] / "configs").glob("**/*.json"))
+    assert len(shipped) == 5
+    for path in shipped:
+        experiment.ExperimentConfig.from_dict(json.loads(path.read_text()))
 
 
 def test_sweep_bad_config(tmp_path):

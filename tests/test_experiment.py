@@ -248,16 +248,7 @@ def _gone(pid: int) -> bool:
     return False
 
 
-@pytest.fixture
-def no_pool():
-    """No kept pool before the test, and none left after it."""
-    experiment._drop_pool()
-    assert _worker_pids() == set()
-    yield
-    experiment._drop_pool()
-
-
-def test_the_pool_is_kept_between_sweeps(no_pool):
+def test_the_pool_is_kept_between_sweeps():
     serial = _pool_sweep(1)
     assert _worker_pids() == set()  # one worker is the serial path: no pool
     first = _pool_sweep(2)
@@ -272,7 +263,7 @@ def test_the_pool_is_kept_between_sweeps(no_pool):
     assert all(_gone(pid) for pid in pids)
 
 
-def test_a_killed_worker_fails_its_sweep_and_the_next_starts_clean(no_pool):
+def test_a_killed_worker_fails_its_sweep_and_the_next_starts_clean():
     serial = _pool_sweep(1)
     _pool_sweep(2)
     pids = _worker_pids()
@@ -289,7 +280,7 @@ def test_a_killed_worker_fails_its_sweep_and_the_next_starts_clean(no_pool):
     assert len(fresh) == 2 and not fresh & pids
 
 
-def test_a_chunk_error_leaves_the_next_sweep_correct(no_pool):
+def test_a_chunk_error_leaves_the_next_sweep_correct():
     # each row holds more than 30 distinct values, so the worker's first row
     # needs more than ASSIGNMENT_CAP exact patterns of o:0,1,2
     with pytest.raises(ChunkError, match="GuardExceeded"):
@@ -299,7 +290,7 @@ def test_a_chunk_error_leaves_the_next_sweep_correct(no_pool):
     assert _pool_sweep(2) == _pool_sweep(1)
 
 
-def test_workers_exit_with_the_interpreter(no_pool):
+def test_workers_exit_with_the_interpreter():
     code = ("import json, multiprocessing\n"
             "from compevo.experiment import ExperimentConfig, run_sweep\n"
             f"run_sweep(ExperimentConfig.from_dict({{**{POOL_SWEEP!r}, 'workers': 2}}))\n"
