@@ -6,8 +6,7 @@ from .core import (Composition, EstimateResult, GeometricModel, GuardExceeded,
 from .patterns import MatchReport, PatternSyntaxError, match, parse_pattern
 from .properties import Property
 from .rng import RngStream
-from .samplers import (evolve_step, sample_bridge, sample_geometric,
-                       sample_uniform_bars, sample_uniform_chain)
+from .samplers import sample_bridge, sample_geometric, sample_uniform_bars
 from .theory import TheoryPrediction, poisson_limit, threshold_location
 
 __version__ = "0.1.0"
@@ -17,7 +16,6 @@ __all__ = [
     "MatchReport", "PatternKind", "PatternSpec", "PatternSyntaxError",
     "Property", "RngStream", "TheoryPrediction", "UniformModel",
     "UnsupportedProperty", "composition_size", "count_compositions",
-    "evolve_step", "match", "parse_pattern", "poisson_limit", "sample_bridge",
-    "sample_geometric", "sample_uniform_bars", "sample_uniform_chain",
-    "threshold_location",
+    "match", "parse_pattern", "poisson_limit", "sample_bridge", "sample_geometric",
+    "sample_uniform_bars", "threshold_location",
 ]

@@ -25,7 +25,7 @@ from .core import (ChunkError, Composition, GuardExceeded, PatternSpec,
 from .patterns import PatternSyntaxError, match, parse_pattern
 from .properties import PARAMS, REQUIRED, Property, lookup
 from .rng import RngStream
-from .samplers import sample_geometric, sample_uniform_bars, sample_uniform_chain
+from .samplers import sample_geometric, sample_uniform_bars
 
 
 class UsageError(Exception):
@@ -107,16 +107,14 @@ def _format_composition(c: Composition, fmt: str) -> str:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_sample(args, out) -> int:
-    uniform = args.uniform or args.chain
-    model = ("n", "m") if uniform else ("n", "p")
+    if args.count < 0:
+        raise UsageError(f"--count must be >= 0, got {args.count}")
+    model = ("n", "m") if args.uniform else ("n", "p")
     kv = _params(args.params, model, model)
+    draw = sample_uniform_bars if args.uniform else sample_geometric
     stream = RngStream(args.seed, 0)
     for i in range(args.count):
-        sub = stream.substream(i)
-        if uniform:
-            c = (sample_uniform_chain if args.chain else sample_uniform_bars)(kv["n"], kv["m"], sub)
-        else:
-            c = sample_geometric(kv["n"], kv["p"], sub)
+        c = draw(kv["n"], kv[model[1]], stream.substream(i))
         out.write(_format_composition(c, args.format) + "\n")
     return 0
 
@@ -203,10 +201,11 @@ def cmd_sweep(args, out) -> int:
     for path in args.config:
         with open(path) as fh:
             doc = json.load(fh)
-        if args.workers is not None:
-            doc["workers"] = args.workers
-        if args.seed is not None:
-            doc["seed"] = args.seed
+        if isinstance(doc, dict):  # from_dict names what is wrong with anything else
+            if args.workers is not None:
+                doc["workers"] = args.workers
+            if args.seed is not None:
+                doc["seed"] = args.seed
         configs.append(experiment.ExperimentConfig.from_dict(doc))
     if args.output_dir is not None:
         Path(args.output_dir).mkdir(parents=True, exist_ok=True)
@@ -267,8 +266,6 @@ def build_parser() -> _Parser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--uniform", action="store_true")
     g.add_argument("--geometric", action="store_true")
-    g.add_argument("--chain", action="store_true",
-                   help="uniform model via the ball-by-ball urn chain")
     p.add_argument("params", nargs="*", help="n=.. and m=.. or p=..")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

@@ -86,12 +86,6 @@ class Composition:
     def __repr__(self) -> str:
         return f"Composition({self._terms.tolist()})"
 
-    def with_increment(self, j: int) -> "Composition":
-        """Return a copy with one ball added to term ``j`` (the C^{+j} step)."""
-        arr = self._terms.copy()
-        arr[j] += 1
-        return Composition(arr)
-
 
 def as_terms(c: TermsLike) -> list[int]:
     """The terms of a composition-like value as a list of Python ints.

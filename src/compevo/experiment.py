@@ -24,9 +24,9 @@ Config schema (JSON, version 1)::
       "model": "geometric" | "uniform",
       "grid": [ {"n": 10000, "p": 0.01},          # explicit points, or
                 {"n": 10000, "m": 100}, ... ]
-              | {"n": 10000, "m_exponents": [0.25, 0.5]}       # m = round(n^c)
-              | {"n": 10000, "alphas": [0.5, 1, 2],            # p or q = alpha*n^e
-                 "param": "p" | "q", "exponent": -0.5},
+              | {"n": 10000, "m_exponents": [0.25, 0.5]}       # uniform: m = round(n^c)
+              | {"n": 10000, "alphas": [0.5, 1, 2],            # geometric:
+                 "param": "p" | "q", "exponent": -0.5},       # p or q = alpha*n^e
       "property": {"statistic": "upper_consec", "pattern": "u:[1,1]",
                    "params": {}},
       "trials": 10000,
@@ -38,9 +38,13 @@ Config schema (JSON, version 1)::
       "theory": {"poisson": "some" | "none"}      # optional column, alpha grids
     }
 
-Unknown keys are rejected at the top level, in ``property``, in ``theory`` and
-in each grid entry, and so is a grid point with n < 1, m < 0, p outside
-[0, 1) or m + n - 1 >= 2**63 (beyond the uniform batch sampler's int64).
+The config, ``property``, ``theory``, a parametric grid and each grid point
+are JSON objects.  Each is refused, with one ValueError that names it and the
+key, when it has a key the schema does not show for it or lacks a required
+one: every key shown but ``confidence``, ``interval``, ``workers``, ``timing``,
+``theory``, ``pattern``, ``params`` and the grid's ``param``.  So is a grid
+point with n < 1, m < 0, p outside [0, 1) or m + n - 1 >= 2**63 (beyond the
+uniform batch sampler's int64).
 A value of the wrong type is refused, never converted: ``trials``, ``seed``, ``workers``
 and grid ``n`` and ``m`` are ints, ``timing`` is a bool and every other number is a real.
 ``Property`` refuses a bad ``params`` key, value or type here as well.
@@ -66,13 +70,14 @@ from .stats import INTERVALS, proportion_estimate
 
 CHUNK = 4096  # trials per RNG substream; part of the determinism contract
 SCHEMA_VERSION = 1
-CONFIG_KEYS = {"version", "model", "grid", "property", "trials", "seed", "confidence",
-               "interval", "workers", "timing", "theory"}
-PROPERTY_KEYS = {"statistic", "pattern", "params"}
-POINT_KEYS = {"uniform": {"n", "m"}, "geometric": {"n", "p"}}
-M_EXPONENT_KEYS = {"n", "m_exponents"}
-ALPHA_KEYS = {"n", "alphas", "param", "exponent"}
-THEORY_KEYS = {"poisson"}
+# the keys of each config object: (required, optional)
+CONFIG_KEYS = ({"version", "model", "grid", "property", "trials", "seed"},
+               {"confidence", "interval", "workers", "timing", "theory"})
+PROPERTY_KEYS = ({"statistic"}, {"pattern", "params"})
+POINT_KEYS = {"uniform": ({"n", "m"}, set()), "geometric": ({"n", "p"}, set())}
+PARAMETRIC_KEYS = {"uniform": ({"n", "m_exponents"}, set()),
+                   "geometric": ({"n", "alphas", "exponent"}, {"param"})}
+THEORY_KEYS = ({"poisson"}, set())
 
 
 @dataclass(frozen=True)
@@ -123,9 +128,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if doc.get("version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported config version {doc.get('version')!r}")
-        _reject_unknown_keys(doc, CONFIG_KEYS, "config")
+        if isinstance(doc, dict) and doc.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
+            raise ValueError(f"unsupported config version {doc['version']!r}")
+        _check_keys(doc, CONFIG_KEYS, "config")
         model = doc["model"]
         if model not in ("uniform", "geometric"):
             raise ValueError(f"unknown model {model!r}")
@@ -133,7 +138,7 @@ class ExperimentConfig:
         if not grid:
             raise ValueError("grid is empty")
         pdoc = doc["property"]
-        _reject_unknown_keys(pdoc, PROPERTY_KEYS, "property")
+        _check_keys(pdoc, PROPERTY_KEYS, "property")
         prop = Property(pdoc["statistic"], dict(pdoc.get("params", {})),
                         spec=pdoc.get("pattern"))
         trials = _typed(int, doc["trials"], "trials", least=1)
@@ -144,8 +149,8 @@ class ExperimentConfig:
         workers = _typed(int, workers, "workers", least=1)
         theory_mode = None
         if "theory" in doc:
-            _reject_unknown_keys(doc["theory"], THEORY_KEYS, "theory")
-            theory_mode = doc["theory"].get("poisson")
+            _check_keys(doc["theory"], THEORY_KEYS, "theory")
+            theory_mode = doc["theory"]["poisson"]
             if theory_mode not in ("some", "none"):
                 raise ValueError("theory.poisson must be 'some' or 'none'")
         conf = _typed(float, doc.get("confidence", 0.95), "confidence")
@@ -169,30 +174,38 @@ def _typed(kind: type, value, name: str, least: int | None = None):
     return kind(value)
 
 
-def _reject_unknown_keys(doc: dict, known: set[str], where: str) -> None:
-    unknown = sorted(set(doc) - known)
+def _check_keys(doc, keys: tuple[set[str], set[str]], where: str) -> None:
+    """A ValueError naming ``where`` unless ``doc`` is a JSON object with every
+    required key of ``keys`` and no key that is neither required nor optional."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    required, optional = keys
+    unknown = sorted(set(doc) - required - optional)
     if unknown:
         raise ValueError(f"unknown {where} keys: {unknown}")
+    missing = sorted(required - set(doc))
+    if missing:
+        raise ValueError(f"missing {where} keys: {missing}")
 
 
 def _parse_grid(gdoc, model: str) -> list[GridPoint]:
     if isinstance(gdoc, list):
         pts = []
         for entry in gdoc:
-            _reject_unknown_keys(entry, POINT_KEYS[model], "grid point")
+            _check_keys(entry, POINT_KEYS[model], "grid point")
             n = _typed(int, entry["n"], "grid n")
             if model == "uniform":
                 pts.append(GridPoint(n=n, model=model, m=_typed(int, entry["m"], "grid m")))
             else:
                 pts.append(GridPoint(n=n, model=model, p=_typed(float, entry["p"], "grid p")))
         return [_check_point(pt) for pt in pts]
+    if not isinstance(gdoc, dict):
+        raise ValueError("grid must be a point list or a parametric description")
+    _check_keys(gdoc, PARAMETRIC_KEYS[model], "grid")
     n = _typed(int, gdoc["n"], "grid n")
     if n < 1:  # before n ** c, which fails or means nothing for n < 1
         raise ValueError(f"grid n={n}: need n >= 1")
-    if "m_exponents" in gdoc:
-        if model != "uniform":
-            raise ValueError("m_exponents grid needs the uniform model")
-        _reject_unknown_keys(gdoc, M_EXPONENT_KEYS, "grid")
+    if model == "uniform":
         for c in gdoc["m_exponents"]:  # an int c keeps n ** c exact
             _typed(float, c, "grid m_exponents")
         try:
@@ -201,22 +214,17 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
             raise ValueError(f"grid n={n}: n^c overflows for an m exponent") from None
         return [_check_point(GridPoint(n=n, model=model, m=m, alpha=float(c)))
                 for m, c in zip(ms, gdoc["m_exponents"])]
-    if "alphas" in gdoc:
-        if model != "geometric":
-            raise ValueError("alpha grid needs the geometric model")
-        _reject_unknown_keys(gdoc, ALPHA_KEYS, "grid")
-        param = gdoc.get("param", "p")
-        if param not in ("p", "q"):
-            raise ValueError(f"grid param must be 'p' or 'q', got {param!r}")
-        e = _typed(float, gdoc["exponent"], "grid exponent")
-        pts = []
-        for a in gdoc["alphas"]:
-            a = _typed(float, a, "grid alphas")
-            scale = a * n ** e
-            p = scale if param == "p" else 1.0 - scale
-            pts.append(_check_point(GridPoint(n=n, model=model, p=p, alpha=a)))
-        return pts
-    raise ValueError("grid must be a point list or a parametric description")
+    param = gdoc.get("param", "p")
+    if param not in ("p", "q"):
+        raise ValueError(f"grid param must be 'p' or 'q', got {param!r}")
+    e = _typed(float, gdoc["exponent"], "grid exponent")
+    pts = []
+    for a in gdoc["alphas"]:
+        a = _typed(float, a, "grid alphas")
+        scale = a * n ** e
+        p = scale if param == "p" else 1.0 - scale
+        pts.append(_check_point(GridPoint(n=n, model=model, p=p, alpha=a)))
+    return pts
 
 
 def _check_point(point: GridPoint) -> GridPoint:

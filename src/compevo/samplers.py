@@ -1,17 +1,17 @@
 """Random composition generators.
 
-Three models plus the coupling bridge:
+Two models plus the coupling bridge:
 
 * geometric: n i.i.d. terms, P(term = k) = q * p**k.  Below a cut-off in p
   only the nonzero terms are drawn: their positions as a Bernoulli(p)
   process, their values as Geometric(q) on {1, 2, ...}.  At or above it
   every term is drawn by inverse CDF;
-* uniform via stars and bars: a uniform (n-1)-subset of [m+n-1] read off as
-  gap sizes (Floyd's subset sampling, O(n) memory).  The batch variant runs
-  the evolutionary chain's Polya urn on every row at once over the fewer of
-  stars and bars, O(min(m, n-1)) work per row besides the output;
-* uniform via the evolutionary chain: m single-ball steps of the Polya urn,
-  whose marginal at time m is the same uniform distribution;
+* uniform: the Polya urn, run on every row at once over the fewer of stars
+  and bars, O(min(m, n-1)) work per row besides the output.  Its stars
+  branch is the paper's evolutionary chain, m single-ball steps whose
+  marginal at time m is the uniform distribution on C(n, m); its bars branch
+  runs the same urn with the roles of stars and bars exchanged.  A single
+  draw is one row of it;
 * bridge: the independent increment whose term-wise sum turns a geometric
   composition with parameter p1 into one with parameter p2.
 
@@ -21,8 +21,7 @@ the narrowest signed integer type (int8, int16, int32 or int64) that holds
 its largest term, so it depends on the draw; a ``Composition`` built from a
 row stores int64 as always.  Every sampler
 first refuses an invalid model point through ``core.check_uniform`` or
-``core.check_geometric`` (both bridge parameters are geometric points; the
-conditioned sampler checks (n, p) and its target (n, m)).
+``core.check_geometric`` (both bridge parameters are geometric points).
 """
 
 from __future__ import annotations
@@ -107,33 +106,6 @@ def sample_geometric(n: int, p: float, rng: RngStream) -> Composition:
     return Composition(geometric_terms(n, p, rng))
 
 
-def _floyd_subset(k: int, upper: int, gen: np.random.Generator) -> np.ndarray:
-    """Uniform k-subset of {1, ..., upper} by Floyd's algorithm; O(k) memory."""
-    chosen: set[int] = set()
-    for t in range(upper - k + 1, upper + 1):
-        j = int(gen.integers(1, t + 1))
-        chosen.add(t if j in chosen else j)
-    return np.fromiter(chosen, dtype=np.int64, count=k)
-
-
-def _bars_to_terms(bars: np.ndarray, n: int, m: int) -> np.ndarray:
-    bars.sort()
-    out = np.empty(n, dtype=np.int64)
-    out[0] = bars[0] - 1
-    out[1:-1] = np.diff(bars) - 1
-    out[-1] = (m + n - 1) - bars[-1]
-    return out
-
-
-def sample_uniform_bars(n: int, m: int, rng: RngStream) -> Composition:
-    """Uniform composition via a random placement of n-1 bars among m stars."""
-    check_uniform(n, m)
-    if n == 1:
-        return Composition([m])
-    bars = _floyd_subset(n - 1, m + n - 1, rng.generator)
-    return Composition(_bars_to_terms(bars, n, m))
-
-
 def check_urn(n: int, m: int) -> None:
     """``check_uniform``, and that uniform_bars_batch can draw (n, m): its
     largest token count, m + n - 1, must fit in int64."""
@@ -145,8 +117,8 @@ def check_urn(n: int, m: int) -> None:
 def uniform_bars_batch(n: int, m: int, count: int, rng: RngStream) -> np.ndarray:
     """(count, n) matrix of independent uniform compositions of m.
 
-    Runs the Polya urn of sample_uniform_chain on every row at once, over the
-    fewer of stars and bars: k = m stars into N = n boxes, or else k = n-1
+    Runs the Polya urn of the evolutionary chain on every row at once, over
+    the fewer of stars and bars: k = m stars into N = n boxes, or else k = n-1
     bars into the N = m+1 gaps around the m stars.  Ball t picks one of N + t
     tokens; a pick j >= N copies the box of ball j - N of the same row.  After
     k balls the boxes are a uniform multiset.  k steps, each vectorized over
@@ -182,31 +154,9 @@ def uniform_bars_batch(n: int, m: int, count: int, rng: RngStream) -> np.ndarray
     return out
 
 
-def sample_uniform_chain(n: int, m: int, rng: RngStream) -> Composition:
-    """Uniform composition via m steps of the evolutionary Markov chain.
-
-    Implemented as the multicoloured Polya urn: keep one token per box plus
-    one token per ball already placed; each step copies a uniformly chosen
-    token.  Each step is O(1), the whole draw O(n + m).
-    """
-    check_uniform(n, m)
-    gen = rng.generator
-    terms = np.zeros(n, dtype=np.int64)
-    tokens = list(range(n))
-    for t in range(m):
-        j = tokens[int(gen.integers(0, n + t))]
-        terms[j] += 1
-        tokens.append(j)
-    return Composition(terms)
-
-
-def evolve_step(c: Composition, rng: RngStream) -> Composition:
-    """One chain step: add a ball to box j with probability (c(j)+1)/(n+t)."""
-    terms = c.terms
-    weights = np.cumsum(terms + 1)
-    r = int(rng.generator.integers(0, weights[-1]))
-    j = int(np.searchsorted(weights, r, side="right"))
-    return c.with_increment(j)
+def sample_uniform_bars(n: int, m: int, rng: RngStream) -> Composition:
+    """One composition from the uniform model C(n, m): one row of the urn."""
+    return Composition(uniform_bars_batch(n, m, 1, rng)[0])
 
 
 def bridge_terms(n: int, p1: float, p2: float, rng: RngStream, count: int | None = None) -> np.ndarray:
@@ -230,20 +180,3 @@ def bridge_terms(n: int, p1: float, p2: float, rng: RngStream, count: int | None
 def sample_bridge(n: int, p1: float, p2: float, rng: RngStream) -> Composition:
     """One composition from the coupling increment law between C(n,p1) and C(n,p2)."""
     return Composition(bridge_terms(n, p1, p2, rng))
-
-
-def sample_geometric_conditioned(n: int, p: float, m: int, rng: RngStream,
-                                 max_attempts: int = 10_000_000) -> Composition:
-    """Rejection-sample C(n, p) conditioned on size m (test-scale only)."""
-    check_geometric(n, p)
-    check_uniform(n, m)
-    batch = 256
-    done = 0
-    while done < max_attempts:
-        draws = geometric_terms(n, p, rng, count=batch)
-        sizes = draws.sum(axis=1)
-        hits = np.nonzero(sizes == m)[0]
-        if hits.size:
-            return Composition(draws[hits[0]])
-        done += batch
-    raise RuntimeError(f"rejection sampling failed to hit size {m} in {max_attempts} attempts")

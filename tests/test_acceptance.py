@@ -22,8 +22,7 @@ from compevo.oracle import (exact_prob_geometric_consecutive, exact_prob_uniform
 from compevo.patterns import match, parse_pattern
 from compevo.properties import Property
 from compevo.rng import RngStream
-from compevo.samplers import (bridge_terms, geometric_terms, sample_uniform_chain,
-                              uniform_bars_batch)
+from compevo.samplers import bridge_terms, geometric_terms, uniform_bars_batch
 from conftest import (CHART_A, CHART_B, chi_square_gof, chi_square_two_sample,
                       naive_match_count, naive_stats)
 
@@ -92,23 +91,16 @@ def test_criterion_03_sampler_uniformity():
     t0 = time.perf_counter()
     trials = 150_000
     pvals = []
-    for n, m in [(3, 2), (4, 3), (2, 5)]:
+    # the urn's bars branch at m >= n-1, its stars branch (the evolutionary
+    # chain) at m < n-1, and the geometric model conditioned on its size
+    for n, m in [(3, 2), (4, 3), (2, 5), (5, 2), (6, 3)]:
         index = _support_index(n, m)
         uniform_probs = np.full(len(index), 1 / len(index))
 
-        # stars-and-bars batch sampler
         batch = uniform_bars_batch(n, m, trials, RngStream(301))
         counts = np.zeros(len(index), dtype=np.int64)
         for row in batch:
             counts[index[tuple(int(x) for x in row)]] += 1
-        pvals.append(chi_square_gof(counts, uniform_probs)[1])
-
-        # urn-chain sampler
-        base = RngStream(302)
-        counts = np.zeros(len(index), dtype=np.int64)
-        for i in range(trials):
-            c = sample_uniform_chain(n, m, base.substream(i))
-            counts[index[tuple(c)]] += 1
         pvals.append(chi_square_gof(counts, uniform_probs)[1])
 
         # geometric rejection-conditioning at p = 0.5

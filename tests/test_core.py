@@ -36,13 +36,6 @@ def test_composition_validation():
         c.terms[0] = 5
 
 
-def test_with_increment():
-    c = Composition([1, 0])
-    d = c.with_increment(1)
-    assert list(d.terms) == [1, 1]
-    assert list(c.terms) == [1, 0]
-
-
 def test_count_compositions():
     assert count_compositions(3, 2) == 6
     assert count_compositions(5, 0) == 1
@@ -138,16 +131,9 @@ INVALID_POINTS = {
                         _geometric_error(3, 1.0)),
     "sample_bridge": (lambda: samplers.sample_bridge(3, -0.5, 0.5, _RNG),
                       _geometric_error(3, -0.5)),
-    "sample_geometric_conditioned-n": (
-        lambda: samplers.sample_geometric_conditioned(0, 0.5, 3, _RNG), _geometric_error(0, 0.5)),
-    # a negative target size used to draw for the whole attempt budget
-    "sample_geometric_conditioned-m": (
-        lambda: samplers.sample_geometric_conditioned(3, 0.5, -1, _RNG), _uniform_error(3, -1)),
     "sample_uniform_bars": (lambda: samplers.sample_uniform_bars(0, 3, _RNG), _uniform_error(0, 3)),
     "uniform_bars_batch": (lambda: samplers.uniform_bars_batch(3, -1, 4, _RNG),
                            _uniform_error(3, -1)),
-    "sample_uniform_chain": (lambda: samplers.sample_uniform_chain(-2, 3, _RNG),
-                             _uniform_error(-2, 3)),
     # expected_components(-5, 0.3) used to answer -0.96
     "expected_components": (lambda: theory.expected_components(-5, 0.3),
                             _geometric_error(-5, 0.3)),

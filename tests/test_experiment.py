@@ -119,6 +119,61 @@ def test_config_validation_errors():
             _config(**overrides)
 
 
+_ALPHAS = {"n": 100, "alphas": [1.0], "exponent": -0.5}
+_UNIFORM = {"model": "uniform", "property": {"statistic": "contains", "pattern": "u:[1,1]"}}
+
+
+# (where the key belongs, its path in the config, overrides that make the config
+# valid with it); each missing key was a bare KeyError from ``compevo sweep``
+_MISSING = [
+    *[("config", (key,), {}) for key in ("version", "model", "grid", "property", "trials",
+                                          "seed")],
+    ("property", ("property", "statistic"), {}),
+    ("grid point", ("grid", 1, "n"), {}),
+    ("grid point", ("grid", 1, "p"), {}),
+    ("grid point", ("grid", 0, "m"), {"grid": [{"n": 10, "m": 3}], **_UNIFORM}),
+    ("grid", ("grid", "n"), {"grid": _ALPHAS}),
+    ("grid", ("grid", "alphas"), {"grid": _ALPHAS}),
+    ("grid", ("grid", "exponent"), {"grid": _ALPHAS}),
+    ("grid", ("grid", "m_exponents"), {"grid": {"n": 100, "m_exponents": [0.5]}, **_UNIFORM}),
+    ("theory", ("theory", "poisson"), {"grid": _ALPHAS, "theory": {"poisson": "some"}}),
+]
+
+
+@pytest.mark.parametrize("where, path, overrides", _MISSING,
+                         ids=["/".join(map(str, path)) for _, path, _ in _MISSING])
+def test_a_missing_key_is_named_with_its_place(tmp_path, capsys, where, path, overrides):
+    doc = {"version": 1, "model": "geometric", "grid": [{"n": 50, "p": 0.1}, {"n": 50, "p": 0.3}],
+           "property": {"statistic": "cmax_ge", "params": {"k": 2}}, "trials": 30, "seed": 1,
+           **json.loads(json.dumps(overrides))}
+    ExperimentConfig.from_dict(doc)  # valid with the key
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    del parent[path[-1]]
+    message = f"missing {where} keys: [{path[-1]!r}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(doc)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(doc))
+    assert main(["sweep", str(config)], out=io.StringIO()) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "config must be a JSON object, got list"),  # was an AttributeError
+    ('{"version": 1, "model": "geometric", "grid": [[50, 0.1]], "property": {}, "trials": 1,'
+     ' "seed": 1}', "grid point must be a JSON object, got list"),
+    ('{"version": 1, "model": "geometric", "grid": 50, "property": {}, "trials": 1, "seed": 1}',
+     "grid must be a point list or a parametric description"),
+], ids=["config", "grid point", "grid"])
+def test_a_config_object_of_the_wrong_type_is_one_error(tmp_path, capsys, text, message):
+    config = tmp_path / "sweep.json"
+    config.write_text(text)
+    assert main(["sweep", str(config), "--workers", "2", "--seed", "3"], out=io.StringIO()) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("overrides,field,value", [
     # each field was truncated silently through int(); the grid is read first
     ({"trials": 2.7, "seed": 1.5, "grid": [{"n": 20.9, "p": 0.3}]}, "grid n", 20.9),

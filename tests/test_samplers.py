@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from compevo.core import Composition, count_compositions
+from compevo.core import count_compositions
 from compevo.oracle import exact_prob_geometric_consecutive, iter_uniform, negbin_log_pmf
 from compevo.properties import Property
 from compevo.rng import RngStream, derive_key, splitmix64
 from compevo.samplers import (SPARSE_BELOW, _sparse_geometric_terms, bridge_terms,
-                              evolve_step, geometric_terms, sample_bridge, sample_geometric,
-                              sample_geometric_conditioned, sample_uniform_bars,
-                              sample_uniform_chain, uniform_bars_batch)
+                              geometric_terms, sample_bridge, sample_geometric,
+                              sample_uniform_bars, uniform_bars_batch)
 from conftest import chi_square_gof, chi_square_two_sample
 
 ALPHA = 1e-4
@@ -148,7 +147,7 @@ def test_geometric_mean_size():
 
 def test_uniform_trivial():
     assert list(sample_uniform_bars(3, 0, RngStream(1)).terms) == [0, 0, 0]
-    assert list(sample_uniform_chain(5, 0, RngStream(1)).terms) == [0] * 5
+    assert list(sample_uniform_bars(5, 0, RngStream(1)).terms) == [0] * 5
     assert list(sample_uniform_bars(1, 7, RngStream(1)).terms) == [7]
 
 
@@ -238,41 +237,6 @@ def test_uniform_batch_validation():
             uniform_bars_batch(n, m, 4, RngStream(0))
 
 
-def test_chain_first_step():
-    hits = 0
-    trials = 10 ** 5
-    base = RngStream(23)
-    for i in range(trials):
-        c = sample_uniform_chain(2, 1, base.substream(i))
-        hits += c[0] == 1
-    assert abs(hits / trials - 0.5) < 0.01
-
-
-def test_chain_matches_bars():
-    n, m, trials = 3, 2, 10 ** 4
-    index = _support_index(n, m)
-    base = RngStream(24)
-    chain_counts = np.zeros(len(index), dtype=np.int64)
-    for i in range(trials):
-        c = sample_uniform_chain(n, m, base.substream(i))
-        chain_counts[index[tuple(c)]] += 1
-    bar_counts = _counts_from_batch(uniform_bars_batch(n, m, trials, RngStream(25)), index)
-    _, pval = chi_square_two_sample(chain_counts, bar_counts)
-    assert pval > ALPHA
-
-
-def test_evolve_step():
-    c = Composition([1, 0])
-    base = RngStream(26)
-    to20 = 0
-    trials = 10 ** 5
-    for i in range(trials):
-        d = evolve_step(c, base.substream(i))
-        assert d.size == c.size + 1
-        to20 += d[0] == 2
-    assert abs(to20 / trials - 2 / 3) < 0.01
-
-
 def test_bridge_validation():
     with pytest.raises(ValueError):
         bridge_terms(3, 0.5, 0.5, RngStream(0))
@@ -318,26 +282,8 @@ def test_conditioned_matches_uniform():
     assert pval > ALPHA
 
 
-def test_conditioned_single_draw():
-    c = sample_geometric_conditioned(3, 0.5, 2, RngStream(36))
-    assert c.size == 2 and c.n == 3
-
-
 def test_negbin_pmf_normalizes():
     n, p = 3, 0.4
     total = sum(math.exp(negbin_log_pmf(n, p, m)) for m in range(200))
     assert abs(total - 1.0) < 1e-12
     assert negbin_log_pmf(2, 0.0, 0) == 0.0
-
-
-def test_batch_matches_loop_sampler():
-    # the batch urn and the Floyd single-draw agree in distribution
-    n, m, trials = 4, 3, 2 * 10 ** 4
-    index = _support_index(n, m)
-    batch = _counts_from_batch(uniform_bars_batch(n, m, trials, RngStream(37)), index)
-    base = RngStream(38)
-    single = np.zeros(len(index), dtype=np.int64)
-    for i in range(trials):
-        single[index[tuple(sample_uniform_bars(n, m, base.substream(i)))]] += 1
-    _, pval = chi_square_two_sample(batch, single)
-    assert pval > ALPHA
