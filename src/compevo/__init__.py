@@ -1,8 +1,7 @@
 """Random weak integer compositions: models, patterns, closed forms, oracles."""
 
-from .core import (Composition, EstimateResult, GeometricModel, GuardExceeded,
-                   PatternKind, PatternSpec, UniformModel, UnsupportedProperty,
-                   composition_size, count_compositions)
+from .core import (Composition, EstimateResult, GuardExceeded, PatternKind, PatternSpec,
+                   UnsupportedProperty, count_compositions)
 from .patterns import MatchReport, PatternSyntaxError, match, parse_pattern
 from .properties import Property
 from .rng import RngStream
@@ -12,10 +11,8 @@ from .theory import TheoryPrediction, poisson_limit, threshold_location
 __version__ = "0.1.0"
 
 __all__ = [
-    "Composition", "EstimateResult", "GeometricModel", "GuardExceeded",
-    "MatchReport", "PatternKind", "PatternSpec", "PatternSyntaxError",
-    "Property", "RngStream", "TheoryPrediction", "UniformModel",
-    "UnsupportedProperty", "composition_size", "count_compositions",
-    "match", "parse_pattern", "poisson_limit", "sample_bridge", "sample_geometric",
-    "sample_uniform_bars", "threshold_location",
+    "Composition", "EstimateResult", "GuardExceeded", "MatchReport", "PatternKind",
+    "PatternSpec", "PatternSyntaxError", "Property", "RngStream", "TheoryPrediction",
+    "UnsupportedProperty", "count_compositions", "match", "parse_pattern", "poisson_limit",
+    "sample_bridge", "sample_geometric", "sample_uniform_bars", "threshold_location",
 ]

@@ -199,8 +199,11 @@ def cmd_sweep(args, out) -> int:
         raise UsageError("two configs would write the same file: their names must differ")
     configs = []  # every config is checked before any sweep runs
     for path in args.config:
-        with open(path) as fh:
-            doc = json.load(fh)
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config {path}: {exc.strerror}") from None
         if isinstance(doc, dict):  # from_dict names what is wrong with anything else
             if args.workers is not None:
                 doc["workers"] = args.workers

@@ -1,4 +1,4 @@
-"""Core domain types: compositions, model parameters, pattern specs, estimates.
+"""Core domain types: compositions, model-point checks, pattern specs, estimates.
 
 Everything here is immutable after construction and free of I/O and
 randomness, so values can be shared freely between threads.
@@ -97,11 +97,6 @@ def as_terms(c: TermsLike) -> list[int]:
     return list(c)
 
 
-def composition_size(c: TermsLike) -> int:
-    """Sum of the terms (the size of the composition, not its length)."""
-    return sum(as_terms(c))
-
-
 def check_uniform(n: int, m: int) -> None:
     """Refuse (n, m) unless it is a point of the uniform model C(n, m)."""
     if not (n >= 1 and m >= 0):
@@ -121,37 +116,6 @@ def count_compositions(n: int, m: int) -> int:
     """Number of n-term weak compositions of m: binom(m+n-1, m), exact."""
     check_uniform(n, m)
     return math.comb(m + n - 1, m)
-
-
-@dataclass(frozen=True)
-class UniformModel:
-    """Uniform distribution over all n-term weak compositions of m."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        check_uniform(self.n, self.m)
-
-
-@dataclass(frozen=True)
-class GeometricModel:
-    """n i.i.d. terms with P(term = k) = (1-p) * p**k; undefined at p = 1."""
-
-    n: int
-    p: float
-
-    def __post_init__(self):
-        check_geometric(self.n, self.p)
-
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
-
-    @property
-    def mean_size(self) -> float:
-        """Mean of the (negative binomial) size: n*p/q."""
-        return self.n * self.p / self.q
 
 
 class PatternKind(Enum):

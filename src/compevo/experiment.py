@@ -46,7 +46,8 @@ one: every key shown but ``confidence``, ``interval``, ``workers``, ``timing``,
 point with n < 1, m < 0, p outside [0, 1) or m + n - 1 >= 2**63 (beyond the
 uniform batch sampler's int64).
 A value of the wrong type is refused, never converted: ``trials``, ``seed``, ``workers``
-and grid ``n`` and ``m`` are ints, ``timing`` is a bool and every other number is a real.
+and grid ``n`` and ``m`` are ints, ``timing`` is a bool and every other number is a real;
+``statistic`` is a string, ``params`` an object, and ``m_exponents`` and ``alphas`` lists.
 ``Property`` refuses a bad ``params`` key, value or type here as well.
 """
 
@@ -63,7 +64,7 @@ import numpy as np
 
 from . import theory
 from .core import ChunkError, EstimateResult, UnsupportedProperty, check_geometric
-from .properties import Property, admits
+from .properties import Property, admits, typed
 from .rng import RngStream
 from .samplers import check_urn, geometric_terms, uniform_bars_batch
 from .stats import INTERVALS, proportion_estimate
@@ -139,39 +140,31 @@ class ExperimentConfig:
             raise ValueError("grid is empty")
         pdoc = doc["property"]
         _check_keys(pdoc, PROPERTY_KEYS, "property")
-        prop = Property(pdoc["statistic"], dict(pdoc.get("params", {})),
+        prop = Property(typed(str, pdoc["statistic"], "property statistic"),
+                        typed(dict, pdoc.get("params", {}), "property params"),
                         spec=pdoc.get("pattern"))
-        trials = _typed(int, doc["trials"], "trials", least=1)
+        trials = typed(int, doc["trials"], "trials", least=1)
         workers = doc.get("workers", 1)
         if workers == "auto":
             import os
             workers = os.cpu_count() or 1
-        workers = _typed(int, workers, "workers", least=1)
+        workers = typed(int, workers, "workers", least=1)
         theory_mode = None
         if "theory" in doc:
             _check_keys(doc["theory"], THEORY_KEYS, "theory")
             theory_mode = doc["theory"]["poisson"]
             if theory_mode not in ("some", "none"):
                 raise ValueError("theory.poisson must be 'some' or 'none'")
-        conf = _typed(float, doc.get("confidence", 0.95), "confidence")
+        conf = typed(float, doc.get("confidence", 0.95), "confidence")
         if not (0.0 < conf < 1.0):
             raise ValueError("confidence must be in (0, 1)")
         interval = doc.get("interval", "wilson")
         if not admits(str, interval) or interval not in INTERVALS:
             raise ValueError(f"interval must be one of {sorted(INTERVALS)}, got {interval!r}")
         return cls(model=model, grid=grid, prop=prop, trials=trials,
-                   seed=_typed(int, doc["seed"], "seed"), confidence=conf, interval=interval,
-                   workers=workers, timing=_typed(bool, doc.get("timing", False), "timing"),
+                   seed=typed(int, doc["seed"], "seed"), confidence=conf, interval=interval,
+                   workers=workers, timing=typed(bool, doc.get("timing", False), "timing"),
                    theory_mode=theory_mode)
-
-
-def _typed(kind: type, value, name: str, least: int | None = None):
-    """``value`` as a ``kind`` of at least ``least``, else a ValueError naming ``name``."""
-    if not admits(kind, value):
-        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
-    return kind(value)
 
 
 def _check_keys(doc, keys: tuple[set[str], set[str]], where: str) -> None:
@@ -193,34 +186,35 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
         pts = []
         for entry in gdoc:
             _check_keys(entry, POINT_KEYS[model], "grid point")
-            n = _typed(int, entry["n"], "grid n")
+            n = typed(int, entry["n"], "grid n")
             if model == "uniform":
-                pts.append(GridPoint(n=n, model=model, m=_typed(int, entry["m"], "grid m")))
+                pts.append(GridPoint(n=n, model=model, m=typed(int, entry["m"], "grid m")))
             else:
-                pts.append(GridPoint(n=n, model=model, p=_typed(float, entry["p"], "grid p")))
+                pts.append(GridPoint(n=n, model=model, p=typed(float, entry["p"], "grid p")))
         return [_check_point(pt) for pt in pts]
     if not isinstance(gdoc, dict):
         raise ValueError("grid must be a point list or a parametric description")
     _check_keys(gdoc, PARAMETRIC_KEYS[model], "grid")
-    n = _typed(int, gdoc["n"], "grid n")
+    n = typed(int, gdoc["n"], "grid n")
     if n < 1:  # before n ** c, which fails or means nothing for n < 1
         raise ValueError(f"grid n={n}: need n >= 1")
     if model == "uniform":
-        for c in gdoc["m_exponents"]:  # an int c keeps n ** c exact
-            _typed(float, c, "grid m_exponents")
+        exponents = typed(list, gdoc["m_exponents"], "grid m_exponents")
+        for c in exponents:  # an int c keeps n ** c exact
+            typed(float, c, "grid m_exponents")
         try:
-            ms = [int(round(n ** c)) for c in gdoc["m_exponents"]]
+            ms = [int(round(n ** c)) for c in exponents]
         except OverflowError:  # a float n ** c beyond the float range
             raise ValueError(f"grid n={n}: n^c overflows for an m exponent") from None
         return [_check_point(GridPoint(n=n, model=model, m=m, alpha=float(c)))
-                for m, c in zip(ms, gdoc["m_exponents"])]
+                for m, c in zip(ms, exponents)]
     param = gdoc.get("param", "p")
     if param not in ("p", "q"):
         raise ValueError(f"grid param must be 'p' or 'q', got {param!r}")
-    e = _typed(float, gdoc["exponent"], "grid exponent")
+    e = typed(float, gdoc["exponent"], "grid exponent")
     pts = []
-    for a in gdoc["alphas"]:
-        a = _typed(float, a, "grid alphas")
+    for a in typed(list, gdoc["alphas"], "grid alphas"):
+        a = typed(float, a, "grid alphas")
         scale = a * n ** e
         p = scale if param == "p" else 1.0 - scale
         pts.append(_check_point(GridPoint(n=n, model=model, p=p, alpha=a)))

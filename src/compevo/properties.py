@@ -8,10 +8,12 @@
   enumeration oracle and the brute-force cross-checks use;
 * a vectorized predicate on a (trials, n) sample matrix, the Monte Carlo
   fast path.  Its loops run over pattern length and block count, never over
-  trials.  An ordering pattern of several blocks holds where one of its exact
-  patterns (``patterns.exact_patterns`` over the values of the row) does, so
-  a row whose values give more than ``patterns.ASSIGNMENT_CAP`` of them is
-  refused with ``GuardExceeded``, as ``patterns.match`` refuses it.
+  trials.  Each pattern is one greedy scan of its blocks
+  (``_batch_block_chain``: the first block unmasked, ``any`` on the last).
+  An ordering pattern of several blocks holds where one of its exact patterns
+  (``patterns.exact_patterns`` over the values of the row) does, so a row
+  whose values give more than ``patterns.ASSIGNMENT_CAP`` of them is refused
+  with ``GuardExceeded``, as ``patterns.match`` refuses it.
   ``Property.holds_batch`` hands it the matrix in row blocks of about
   ``BLOCK_TERMS`` terms, so that its temporaries stay in cache; a row's
   answer depends on that row alone, so the split never changes an answer;
@@ -72,7 +74,7 @@ PARAMS: dict[str, Param] = {
 }
 # the values a type admits: a bool is no int and no float
 _ADMITS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str,
-           PatternSpec: PatternSpec}
+           PatternSpec: PatternSpec, list: list, dict: dict}
 
 
 def admits(kind: type, value) -> bool:
@@ -80,15 +82,21 @@ def admits(kind: type, value) -> bool:
     return isinstance(value, _ADMITS[kind]) and (kind is bool or not isinstance(value, bool))
 
 
+def typed(kind: type, value, name: str, least: int | None = None):
+    """``value`` as a ``kind`` of at least ``least``, else a ValueError naming ``name``."""
+    if not admits(kind, value):
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return kind(value) if kind in (int, float) else value
+
+
 def _checked(sid: str, key: str, value):
     """``value`` as the type of parameter ``key``; ValueError when it is none."""
     kind = PARAMS[key].type
     if kind is PatternSpec and isinstance(value, str):
         return patterns.parse_pattern(value)
-    if not admits(kind, value):
-        raise ValueError(f"statistic {sid!r} parameter {key!r} must be {kind.__name__}, "
-                         f"got {value!r}")
-    return kind(value) if kind in (int, float) else value
+    return typed(kind, value, f"statistic {sid!r} parameter {key!r}")
 
 
 @dataclass(frozen=True)
@@ -189,9 +197,7 @@ def _appears(prop: Property) -> bool:
 
 def _pattern_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
     spec = prop.spec
-    if len(spec.blocks) == 1:
-        return _batch_consecutive(samples, spec)
-    if spec.kind is PatternKind.ORDERING:
+    if len(spec.blocks) > 1 and spec.kind is PatternKind.ORDERING:
         return _ordering_batch(samples, spec)
     return _batch_block_chain(samples, spec)
 
@@ -559,31 +565,29 @@ def _anchor_mask(samples: np.ndarray, kind: PatternKind,
     return acc
 
 
-def _batch_consecutive(samples: np.ndarray, spec: PatternSpec) -> np.ndarray:
-    """Row-wise existence of a consecutive pattern; loops only over k."""
-    if len(spec.terms) > samples.shape[1]:
-        return np.zeros(samples.shape[0], dtype=bool)
-    return _anchor_mask(samples, spec.kind, spec.terms).any(axis=1)
-
-
 def _batch_block_chain(samples: np.ndarray, spec: PatternSpec) -> np.ndarray:
-    """Row-wise existence of a multi-block exact/upper/lower pattern.
+    """Row-wise existence of a pattern whose blocks ``_anchor_mask`` decides:
+    an exact, upper or lower pattern of any number of blocks, or an ordering
+    pattern of one block.
 
     Blocks must occur in order on disjoint ranges, adjacent blocks allowed
     (``patterns.match`` with ``strict=False``).  Placing each block at its
     leftmost anchor after the previous block's end never rules out a later
-    block, so one greedy pass over the blocks decides existence.
+    block, so one greedy pass over the blocks decides existence.  The first
+    block may start anywhere, so it takes no position mask, and the last needs
+    only ``any``: a one-block pattern costs one anchor mask and one ``any``.
     """
-    trials, n = samples.shape
-    rows = np.arange(trials)
+    trials = samples.shape[0]
+    if spec.length > samples.shape[1]:
+        return np.zeros(trials, dtype=bool)
     ok = np.ones(trials, dtype=bool)
-    pos = np.zeros(trials, dtype=np.intp)  # earliest allowed anchor per row
-    for block in spec.blocks:
-        if len(block) > n:
-            return np.zeros(trials, dtype=bool)
+    pos = None  # earliest allowed anchor per row, after the first block
+    for i, block in enumerate(spec.blocks, 1):
         mask = _anchor_mask(samples, spec.kind, block)
-        mask &= np.arange(mask.shape[1]) >= pos[:, None]
+        if pos is not None:
+            mask &= np.arange(mask.shape[1]) >= pos[:, None]
+        if i == len(spec.blocks):
+            return ok & mask.any(axis=1)
         a = mask.argmax(axis=1)
-        ok &= mask[rows, a]
+        ok &= mask[np.arange(trials), a]
         pos = a + len(block)
-    return ok

@@ -386,10 +386,16 @@ def test_shipped_configs_load():
         experiment.ExperimentConfig.from_dict(json.loads(path.read_text()))
 
 
-def test_sweep_bad_config(tmp_path):
+def test_sweep_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\"version\": 99}")
     assert run_cli("sweep", str(path))[0] == 1
+    # a path that does not exist was a FileNotFoundError traceback
+    missing = tmp_path / "missing.json"
+    capsys.readouterr()
+    assert run_cli("sweep", str(missing)) == (1, "")
+    message = f"error: cannot read config {missing}: No such file or directory\n"
+    assert capsys.readouterr().err == message
 
 
 # -- README ------------------------------------------------------------------

@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 
 import compevo
 from compevo import oracle, samplers, theory
-from compevo.core import (Composition, EstimateResult, GeometricModel, PatternKind,
-                          PatternSpec, UniformModel, composition_size,
-                          count_compositions)
+from compevo.core import Composition, EstimateResult, PatternKind, PatternSpec, count_compositions
 from compevo.experiment import ExperimentConfig
 from compevo.oracle import iter_uniform
 from compevo.patterns import parse_pattern
@@ -17,11 +15,9 @@ from compevo.rng import RngStream
 
 
 def test_composition_size_examples(chart_a):
-    assert composition_size(Composition([0, 0, 0])) == 0
-    assert composition_size(Composition(chart_a)) == 80
-    assert composition_size(Composition([7])) == 7
-    # a plain sequence is read as Python ints, with no int64 array in between
-    assert composition_size([2 ** 70, 1]) == 2 ** 70 + 1
+    assert Composition([0, 0, 0]).size == 0
+    assert Composition(chart_a).size == 80
+    assert Composition([7]).size == 7
 
 
 def test_composition_validation():
@@ -53,19 +49,7 @@ def test_count_matches_enumeration():
 def test_size_permutation_invariant(terms, rnd):
     shuffled = list(terms)
     rnd.shuffle(shuffled)
-    assert composition_size(Composition(terms)) == composition_size(Composition(shuffled))
-
-
-def test_geometric_model_validation():
-    m = GeometricModel(4, 0.5)
-    assert m.q == 0.5 and m.mean_size == 4.0
-    GeometricModel(4, 0.0)
-    with pytest.raises(ValueError):
-        GeometricModel(4, 1.0)
-    with pytest.raises(ValueError):
-        GeometricModel(4, -0.1)
-    with pytest.raises(ValueError):
-        UniformModel(0, 3)
+    assert Composition(terms).size == Composition(shuffled).size
 
 
 def test_pattern_spec_classification():
@@ -118,8 +102,6 @@ _O01 = parse_pattern("o:[0,1]")
 
 # (entry called at an invalid model point, the one message it must raise)
 INVALID_POINTS = {
-    "UniformModel": (lambda: UniformModel(0, 3), _uniform_error(0, 3)),
-    "GeometricModel": (lambda: GeometricModel(4, 1.0), _geometric_error(4, 1.0)),
     "count_compositions": (lambda: count_compositions(3, -1), _uniform_error(3, -1)),
     "geometric_terms": (lambda: samplers.geometric_terms(0, 0.5, _RNG, count=2),
                         _geometric_error(0, 0.5)),

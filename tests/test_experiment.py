@@ -39,6 +39,7 @@ def test_config_parsing():
     assert [pt.p for pt in cfg.grid] == [0.1, 0.3]
     assert cfg.workers == 1 and cfg.interval == "wilson"
     assert cfg.theory_mode is None
+    assert _config(workers="auto").workers == (os.cpu_count() or 1)
 
 
 def test_config_validation_errors():
@@ -114,7 +115,15 @@ def test_config_validation_errors():
             ({"grid": {**alphas, "exponent": "-0.5"}}, "grid exponent must be float, got '-0.5'"),
             ({"grid": {**alphas, "param": "x"}}, "grid param must be 'p' or 'q', got 'x'"),
             ({"grid": {"n": 100, "m_exponents": ["0.5"]}, **uniform},
-             "grid m_exponents must be float, got '0.5'")]:
+             "grid m_exponents must be float, got '0.5'"),
+            # these were TypeErrors: from dict(...), a list as a dict key, iterating a float
+            ({"property": {"statistic": "cmax_ge", "params": [2]}},
+             "property params must be dict, got [2]"),
+            ({"property": {"statistic": ["cmax_ge"], "params": {"k": 2}}},
+             "property statistic must be str, got ['cmax_ge']"),
+            ({"grid": {"n": 100, "m_exponents": 0.5}, **uniform},
+             "grid m_exponents must be list, got 0.5"),
+            ({"grid": {**alphas, "alphas": 1.0}}, "grid alphas must be list, got 1.0")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _config(**overrides)
 

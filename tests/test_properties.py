@@ -90,6 +90,9 @@ EDGE_SHAPES = [
     [[32767, 32767, 1, 32766, 0, 2]],                # at the int16 maximum
     # e:1,[0,2] with the blocks adjacent, with a gap, and in the wrong order
     [[1, 0, 2, 0, 0, 1], [1, 2, 2, 0, 0, 2], [0, 2, 1, 0, 0, 1]],
+    # e:1,[0,2] with the first block only at the last term (the next block's
+    # window starts past the end), and with only the last block
+    [[0, 0, 0, 0, 0, 1], [0, 2, 0, 0, 2, 0]],
 ]
 
 
