@@ -36,27 +36,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analysis, oracle, patterns, theory
-from .core import (BlockStructure, GuardExceeded, PatternKind, PatternSpec, UnsupportedProperty,
-                   as_terms)
+from .core import (BLOCK_TERMS, BlockStructure, GuardExceeded, PatternKind, PatternSpec,
+                   UnsupportedProperty, as_terms)
 from .theory import Scaling
 
 REQUIRED = object()  # the default of a parameter that must be given
-
-# Terms per row block of Property.holds_batch.  Median ms of one 4096-row
-# chunk as the samplers draw it (narrow dtypes), whole matrix | blocks of
-# 2^16, 2^17, 2^18, 2^19 and 2^20 terms, numpy 2.4.6 on a 2-core x86-64 host:
-#   n = 2500  cmax_ge k=2, p = 0.02     8.8 |  3.4  2.9  2.8  2.9  3.9
-#             cmin_gt k=1, p = 0.98    34.4 |  9.7  8.3  9.9 11.6 13.8
-#             equal_run k=3, p = 0.3   11.7 |  6.3  5.3  5.2  5.4  6.7
-#             any_square, p = 0.5       359 |  123  112  114  123  182
-#             u:[1,1], m = 50           6.9 |  4.6  3.6  3.2  3.4  4.2
-#             e:1,[0,2], p = 0.1       29.3 | 25.4 23.1 22.5 23.2 24.3
-#   n = 200   e:1,[0,2], p = 0.1        2.3 |  2.6  2.2  2.2  2.2  2.3
-#             e:[1,0,1], p = 0.1       0.59 | 0.63 0.53 0.49 0.52 0.59
-# The row predicates make one to four temporaries the size of their input,
-# which for a whole chunk at n = 2500 is fresh memory rather than cache.
-# 2^18 is never slower than the whole matrix and within noise of the best.
-BLOCK_TERMS = 1 << 18
 
 
 class Param(NamedTuple):

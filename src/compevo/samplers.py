@@ -9,9 +9,10 @@ Two models plus the coupling bridge:
 * uniform: the Polya urn, run on every row at once over the fewer of stars
   and bars, O(min(m, n-1)) work per row besides the output.  Its stars
   branch is the paper's evolutionary chain, m single-ball steps whose
-  marginal at time m is the uniform distribution on C(n, m); its bars branch
-  runs the same urn with the roles of stars and bars exchanged.  A single
-  draw is one row of it;
+  marginal at time m is the uniform distribution on C(n, m); the stars are
+  counted into the output after the last step, in cache-sized row blocks.
+  Its bars branch runs the same urn with the roles of stars and bars
+  exchanged.  A single draw is one row of it;
 * bridge: the independent increment whose term-wise sum turns a geometric
   composition with parameter p1 into one with parameter p2.
 
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-from .core import Composition, check_geometric, check_uniform
+from .core import BLOCK_TERMS, Composition, check_geometric, check_uniform
 from .rng import RngStream
 
 
@@ -122,8 +123,12 @@ def uniform_bars_batch(n: int, m: int, count: int, rng: RngStream) -> np.ndarray
     bars into the N = m+1 gaps around the m stars.  Ball t picks one of N + t
     tokens; a pick j >= N copies the box of ball j - N of the same row.  After
     k balls the boxes are a uniform multiset.  k steps, each vectorized over
-    the rows; scratch memory is O(count k).  No term exceeds m, so the dtype
-    is the narrowest signed integer type that holds m.
+    the rows, record every ball's box.  The stars are counted into the output
+    after the last step, one ``np.add.at`` per row block of ``BLOCK_TERMS``
+    terms (whole rows, at least one), so that a block's cells stay in cache;
+    the bars are sorted into gaps.  Scratch memory is O(count k) plus one
+    block's indices.  No term exceeds m, so the dtype is the narrowest signed
+    integer type that holds m.
     """
     check_urn(n, m)
     stars = m < n - 1
@@ -131,8 +136,6 @@ def uniform_bars_batch(n: int, m: int, count: int, rng: RngStream) -> np.ndarray
     # int32 halves the memory traffic and sorts faster than int64
     token = np.int32 if boxes + k <= np.iinfo(np.int32).max else np.int64
     out = np.zeros((count, n), dtype=_term_dtype(m))
-    cells = out.ravel()
-    row_start = np.arange(count) * n
     gen = rng.generator
     balls = np.empty((k, count), dtype=token)  # ball-major: row t is ball t of every draw
     flat = balls.ravel()
@@ -141,9 +144,16 @@ def uniform_bars_batch(n: int, m: int, count: int, rng: RngStream) -> np.ndarray
         copy = np.flatnonzero(pick >= boxes)
         pick[copy] = flat[(pick[copy] - boxes).astype(np.intp) * count + copy]
         balls[t] = pick
-        if stars:  # one ball per row, so the cells are distinct
-            cells[row_start + pick] += 1
     if stars:
+        # a row's k flat indices land in its own n cells; intp indices and an
+        # increment of out's dtype keep np.add.at off its slow generic path
+        cells, one = out.ravel(), out.dtype.type(1)
+        rows = max(1, BLOCK_TERMS // n)
+        for start in range(0, count, rows):
+            stop = min(start + rows, count)
+            index = balls[:, start:stop].T.astype(np.intp)
+            index += np.arange(start * n, stop * n, n)[:, None]
+            np.add.at(cells, index.ravel(), one)
         return out
     # bars after g_1 <= ... <= g_k stars give the terms g_1, diff(g), m - g_k
     gaps = np.ascontiguousarray(balls.T)

@@ -288,6 +288,23 @@ def test_worker_count_invariance(model, grid, prop):
     assert serial == parallel
 
 
+def test_uniform_sweep_csv_is_pinned():
+    # the urn's draws are part of the CSV contract: stars at m = 5 and 12,
+    # bars at (8, 9) and (6, 8), each point a full and a remainder chunk
+    cfg = ExperimentConfig.from_dict({
+        "version": 1, "model": "uniform",
+        "grid": [{"n": 30, "m": 5}, {"n": 30, "m": 12}, {"n": 8, "m": 9}, {"n": 6, "m": 8}],
+        "property": {"statistic": "contains", "pattern": "u:[3]"},
+        "trials": CHUNK + 123, "seed": 2026,
+    })
+    assert rows_to_csv(run_sweep(cfg)) == (
+        "n,m_or_p,trials,p_hat,ci_low,ci_high,theory,abs_diff,seconds\n"
+        "30,5,4219,0.04953780517,0.04339019204,0.0565049764,,,\n"
+        "30,12,4219,0.5439677649,0.5289056353,0.5589499008,,,\n"
+        "8,9,4219,0.9134866082,0.9046232466,0.921597684,,,\n"
+        "6,8,4219,0.9274709647,0.9192498287,0.9349143722,,,\n")
+
+
 # two points at n = 2500, two chunks each: four tasks of about 10 ms
 POOL_SWEEP = {
     "version": 1, "model": "geometric", "grid": [{"n": 2500, "p": 0.02}, {"n": 2500, "p": 0.04}],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from compevo.core import count_compositions
+from compevo.core import BLOCK_TERMS, count_compositions
 from compevo.oracle import exact_prob_geometric_consecutive, iter_uniform, negbin_log_pmf
 from compevo.properties import Property
 from compevo.rng import RngStream, derive_key, splitmix64
@@ -229,6 +229,46 @@ def test_pinned_draws(branch):
     draw, rows = PINNED[branch]
     out = draw()
     assert out.dtype == np.int8 and out.tolist() == rows
+
+
+def _reference_urn(n, m, count, gen):
+    """The urn row by row in plain Python, fed the sampler's ``integers`` calls:
+    the same bounds, size and dtype, in the same order."""
+    stars = m < n - 1
+    k, boxes = (m, n) if stars else (n - 1, m + 1)
+    token = np.int32 if boxes + k <= np.iinfo(np.int32).max else np.int64
+    picks = [gen.integers(0, boxes + t, size=count, dtype=token).tolist() for t in range(k)]
+    rows = []
+    for r in range(count):
+        balls = []
+        for t in range(k):
+            j = picks[t][r]
+            balls.append(j if j < boxes else balls[j - boxes])
+        if stars:
+            terms = [0] * n
+            for box in balls:
+                terms[box] += 1
+        else:
+            gaps = [0] + sorted(balls) + [m]
+            terms = [b - a for a, b in zip(gaps, gaps[1:])]
+        rows.append(terms)
+    return rows
+
+
+@pytest.mark.parametrize("n, m, count", [
+    # stars; at n = 2500 a block is 104 rows: one short block, one whole
+    # block, a whole one and one row, and a short last block
+    (2500, 7, 1), (2500, 354, 104), (2500, 50, 105), (2500, 7, 300),
+    (BLOCK_TERMS + 1, 5, 3),  # one row per block
+    (2500, 2499, 105), (6, 40, 300),  # bars
+    (3, 2 ** 31, 20),  # bars with int64 tokens
+    (2500, 50, 0),
+])
+def test_uniform_batch_is_the_reference_urn(n, m, count):
+    out = uniform_bars_batch(n, m, count, RngStream(67))
+    want = _reference_urn(n, m, count, RngStream(67).generator)
+    assert out.shape == (count, n) and out.dtype == np.min_scalar_type(-1 - m)
+    assert out.tolist() == want
 
 
 def test_uniform_batch_validation():
