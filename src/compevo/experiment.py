@@ -201,7 +201,8 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
     if model == "uniform":
         exponents = typed(list, gdoc["m_exponents"], "grid m_exponents")
         for c in exponents:  # an int c keeps n ** c exact
-            typed(float, c, "grid m_exponents")
+            if math.isnan(typed(float, c, "grid m_exponents")):
+                raise ValueError(f"grid m_exponents must be a number, got {c!r}")
         try:
             ms = [int(round(n ** c)) for c in exponents]
         except OverflowError:  # a float n ** c beyond the float range

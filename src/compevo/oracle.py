@@ -4,33 +4,37 @@ Two routes:
 
 * uniform model: full lexicographic enumeration; probabilities are exact
   rationals (#satisfying / binom(m+n-1, m));
-* geometric model: the transition matrix of a small automaton that
-  recognizes the property from the term sequence, raised to the n-th power
-  by repeated squaring, O(S^3 log n) for S automaton states.  The automaton
-  reads each term through its value class, an interval [a, b) between
-  sorted cut points with mass p**a - p**b (p**a for the last, [a, inf)).
+* geometric model: an ``Automaton`` that recognizes the property from the
+  term sequence, read by ``transfer``, the one evaluator: its transition
+  matrix raised to the n-th power by repeated squaring, O(S^3 log n) for S
+  states.  The automaton reads each term through its value class, an
+  interval [a, b) between sorted cut points with mass p**a - p**b (p**a for
+  the last, [a, inf)), or with no cuts each value up to a cap and one lump
+  above it.
 
-Three automata make the geometric model, and each row of
-``properties.STATISTICS`` states its form through them.  The prefix set of a
-consecutive e/u/l pattern and the shortest run over the zero/nonzero
-alphabet are exact, with lo == hi.  The (value, run) automaton gives each
-value up to a cap a class and lumps the rest, so its answer is a certified
-interval [lo, hi] whose width is a tail bound on the values above the cap.
-k terms hold a length-k pattern only as their one window, so the prefix set
-answers e/u/l windows exactly too.  Exact means exact up to float64
-rounding, which the interval does not cover: at n = 2*10^4 it measured at
-most 3.3e-13 against the same matrices powered in 40-digit arithmetic (12
-forms, p = 0.05 to 0.95).  It grows about linearly in n: the criterion-6
-forms at p or q = n^(-1/2) were off by up to 2e-9 at n = 10^8 and 2.3e-8
-at n = 10^9.
+Each row of ``properties.STATISTICS`` states its geometric form as an
+Automaton.  With cuts the answer is exact, with lo == hi: the prefix set of a
+consecutive e/u/l pattern, the shortest run over the zero/nonzero alphabet,
+and tmin_ge's term below r.  Without cuts (equal runs, squares, carlitz) the
+automaton never says the property holds where it does not, so its answer is
+the certified interval [lo, lo + tail(cap)] for the least cap whose tail
+bound is within the width.  Each automaton recognizes its own event, so no
+answer is a 1 - x that would lose a tiny probability to rounding.  k terms
+hold a length-k pattern only as their one window, so the prefix set answers
+e/u/l windows exactly too.  The interval covers truncation, not float64
+rounding: at n = 2*10^4 the rounding measured at most 3.3e-13 against the
+same matrices powered in 40-digit arithmetic (12 forms, p = 0.05 to 0.95).
+It grows about linearly in n: the criterion-6 forms at p or q = n^(-1/2)
+were off by up to 2e-9 at n = 10^8 and 2.3e-8 at n = 10^9.
 
-The automata here are built by the active-prefix-set construction, not from
-the product formulas of the theory module, so agreement between the two is a
-real cross-check.
+The automata here read the terms one by one (patterns by the active-prefix-set
+construction), not the product formulas of the theory module, so agreement
+between the two is a real cross-check.
 
 Every public entry refuses an invalid model point before any work, through
 ``core.check_uniform`` or ``core.check_geometric``; ``window_prob_geometric``
-checks (pattern length, p).
+checks (pattern length, p).  ``transfer`` and ``window_prob_geometric`` refuse
+a width that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from itertools import combinations, islice
+from typing import Callable, Hashable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from .core import (GuardExceeded, PatternKind, PatternSpec, UnsupportedProperty,
 from .patterns import COMPARE, match, relation
 
 ENUMERATION_GUARD = 10_000_000
+WINDOW_GUARD = 20_000_000  # value tuples of one ordering window
 DEFAULT_WIDTH = 1e-9
 
 FOUND = "FOUND"
@@ -56,6 +61,9 @@ DEAD = "DEAD"
 
 @dataclass(frozen=True)
 class ExactProbability:
+    """P in [lo, hi]; the width bounds the mass that truncation leaves out, not
+    float64 rounding (see the module docstring)."""
+
     lo: float
     hi: float
     method: str  # "enumeration" | "transfer_dp" | "window_enum"
@@ -130,37 +138,104 @@ def negbin_log_pmf(n: int, p: float, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# geometric model: automaton transfer matrix
+# geometric model: automata and their transfer matrix
 
-def _transfer(n: int, classes: list[float], start, step,
-              accept: Callable[[object], bool] | None = None) -> float:
-    """P(reach FOUND within n steps), plus P(the state after n steps satisfies
-    ``accept``) when it is given.
+# The most value classes, and the most states, that ``transfer`` builds a
+# matrix for.  carlitz at n = 100 has about as many states as classes; its
+# median s of three runs and peak RSS, numpy 2.4.6 on a 2-core x86-64 host:
+#   p = 0.9      242 classes   0.12 s    31 MB
+#       0.95     495           0.09      35
+#       0.98    1255           0.59      64
+#       0.99    2522           2.6      159
+#       0.9915  2969           4.0      208
+# Steps grow as classes x states and memory as states^2: n = 5, p = 0.999
+# would need 22,000 classes, 5*10^8 steps and a 4 GB matrix.
+TRANSFER_GUARD = 3000
 
-    ``step(state, class_index)`` returns the next state, FOUND (absorbing
-    success) or DEAD (absorbing failure); states are discovered lazily from
-    ``start``.  The S reachable states and the two absorbing ones make one
-    dense (S+2)x(S+2) transition matrix T, and e_start^T T^n comes from
-    binary powering: O(S^3 log n) work, so n = 10^9 costs about 30
-    squarings.  The module docstring gives the float64 rounding error.
+
+def union_bound(n: int, p: float, cap: int) -> float:
+    """n * p**(cap+1) >= P(some of the n terms exceeds cap)."""
+    return n * p ** (cap + 1)
+
+
+class Automaton(NamedTuple):
+    """A property of the term sequence as an automaton over value classes.
+
+    ``step(state, a)`` returns the next state, FOUND (absorbing success) or
+    DEAD (absorbing failure) after a term of class ``a``.  With ``cuts`` the
+    classes are the intervals [a, b) between the sorted cut points, the last
+    [a, inf), and ``a`` is a class's least value.  With ``cuts`` None each
+    value up to a cap is a class of its own, and ``a`` is None for every value
+    above it.  The property holds on reaching FOUND or, when ``accept`` is
+    given, on ending in a state that it accepts.
+
+    An automaton never says the property holds where it does not, and
+    ``tail(n, p, cap)`` bounds the mass it misses; with cuts it misses none.
     """
+
+    start: Hashable
+    step: Callable[[Hashable, int | None], Hashable]
+    cuts: tuple[int, ...] | None = None
+    accept: Callable[[Hashable], bool] | None = None
+    tail: Callable[[int, float, int], float] = union_bound
+
+
+def _check_width(width: float) -> None:
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"width must be positive and finite, got {width!r}")
+
+
+def _cap(tail: Callable[[int], float], width: float, most: int) -> int:
+    """Least cap c >= 0 with tail(c) <= width, or most + 1 if none is up to most."""
+    c = 0
+    while tail(c) > width and c <= most:
+        c += 1
+    return c
+
+
+def transfer(n: int, p: float, automaton: Automaton,
+             width: float = DEFAULT_WIDTH) -> ExactProbability:
+    """P(``automaton`` accepts C(n, p)) as the certified interval [P, P + tail].
+
+    Without cuts the cap is the least c with tail(n, p, c) <= width, so the
+    values 0..cap and the lump above them make cap + 2 classes.  States are
+    discovered lazily from ``start``; the S reachable ones and the two
+    absorbing ones make one dense (S+2)x(S+2) transition matrix T, and
+    e_start^T T^n comes from binary powering: O(S^3 log n) work, so n = 10^9
+    costs about 30 squarings.  More than ``TRANSFER_GUARD`` classes or states
+    raise GuardExceeded.  The module docstring gives the float64 rounding error.
+    """
+    check_geometric(n, p)
+    _check_width(width)
+    start, step, cuts, accept, tail = automaton
+    miss, reads = 0.0, cuts
+    if cuts is None:
+        cap = _cap(lambda c: tail(n, p, c), width, TRANSFER_GUARD)
+        miss, cuts, reads = tail(n, p, cap), range(cap + 2), [*range(cap + 1), None]
+    if len(cuts) > TRANSFER_GUARD:
+        raise GuardExceeded(f"the automaton needs more than {TRANSFER_GUARD} value classes")
+    weights = [p ** a - p ** b for a, b in zip(cuts, cuts[1:])] + [p ** cuts[-1]]
     states = [FOUND, DEAD, start]  # the absorbing states take rows 0 and 1
     index = {st: i for i, st in enumerate(states)}
-    edges = []  # (from, to, weight)
-    i = 2
-    while i < len(states):
-        for ci, w in enumerate(classes):
-            t = step(states[i], ci)
-            if t not in index:
-                index[t] = len(states)
+    rows = []  # the state each class leads to, for each live state
+    for state in islice(states, 2, None):  # sees the states the steps discover
+        row = []
+        for a in reads:
+            t = step(state, a)
+            j = index.get(t)
+            if j is None:
+                if len(states) > TRANSFER_GUARD + 1:
+                    raise GuardExceeded(f"the automaton has more than {TRANSFER_GUARD} states")
+                j = index[t] = len(states)
                 states.append(t)
-            edges.append((i, index[t], w))
-        i += 1
-    tmat = np.zeros((len(states), len(states)))
+            row.append(j)
+        rows.append(np.array(row, dtype=np.int32))
+    size = len(states)
+    tmat = np.zeros((size, size))
     tmat[0, 0] = tmat[1, 1] = 1.0
-    for i, j, w in edges:
-        tmat[i, j] += w
-    v = np.zeros(len(states))
+    for i, row in enumerate(rows, 2):
+        tmat[i] = np.bincount(row, weights, minlength=size)
+    v = np.zeros(size)
     v[2] = 1.0
     while n:
         if n & 1:
@@ -168,25 +243,17 @@ def _transfer(n: int, classes: list[float], start, step,
         n >>= 1
         if n:
             tmat = tmat @ tmat
-    total = v[0]
-    if accept is not None:
-        total += sum(v[i] for i in range(2, len(states)) if accept(states[i]))
-    return float(total)
+    lo = v[0] + (sum(v[i] for i in range(2, size) if accept(states[i])) if accept else 0.0)
+    lo = min(max(float(lo), 0.0), 1.0)
+    return ExactProbability(lo, min(lo + miss, 1.0), "transfer_dp")
 
 
-def _weights(cuts: Sequence[int], p: float) -> list[float]:
-    """Masses of the value classes [a, b) between the sorted ``cuts``:
-    P(a <= X < b) = p**a - p**b, and p**a for the last class [a, inf)."""
-    return [p ** a - p ** b for a, b in zip(cuts, cuts[1:])] + [p ** cuts[-1]]
+def pattern_automaton(spec: PatternSpec) -> Automaton:
+    """The consecutive e/u/l pattern ``spec`` occurs; exact.
 
-
-# ----- consecutive e/u/l pattern existence: exact ---------------------------
-
-def pattern_prob(n: int, p: float, spec: PatternSpec) -> ExactProbability:
-    """P(the consecutive e/u/l pattern ``spec`` occurs in C(n, p)); exact.
-
-    Cut at 0 and at every term r and r + 1, each term r is a class of its
-    own, so a class's least value decides every comparison with a term.
+    The state is the set of pattern prefixes that end at the last term.  Cut
+    at 0 and at every term r and r + 1, each term r is a class of its own, so
+    a class's least value decides every comparison with a term.
     """
     if len(spec.blocks) != 1:
         raise UnsupportedProperty("only consecutive patterns are automaton-recognizable here")
@@ -194,91 +261,51 @@ def pattern_prob(n: int, p: float, spec: PatternSpec) -> ExactProbability:
         raise UnsupportedProperty("ordering existence needs unbounded value tracking; "
                                   "use window_prob_geometric for per-position values")
     pat, k = spec.terms, spec.length
-    if k > n:
-        return _exact(0.0)
-    cuts = sorted({0, *pat, *(r + 1 for r in pat)})
-    match = [[COMPARE[spec.kind](a, r) for r in pat] for a in cuts]
+    cuts = tuple(sorted({0, *pat, *(r + 1 for r in pat)}))
+    match = {a: [COMPARE[spec.kind](a, r) for r in pat] for a in cuts}
 
-    def step(state, ci):
-        row = match[ci]
-        nxt = {j + 1 for j in state if j < k and row[j]}
-        if k in nxt:
-            return FOUND
-        nxt.add(0)
-        return frozenset(nxt)
+    def step(state, a):
+        row = match[a]
+        nxt = {j + 1 for j in state if row[j]}
+        return FOUND if k in nxt else frozenset(nxt | {0})
 
-    return _exact(_transfer(n, _weights(cuts, p), frozenset([0]), step))
+    return Automaton(frozenset([0]), step, cuts)
 
 
-# ----- shortest-run automaton over the zero/nonzero alphabet: exact ----------
-# cuts [0, 1]: class 0 = zero term, class 1 = nonzero term
-
-def shortest_run_prob(n: int, p: float, k: int, run_class: int) -> ExactProbability:
-    """P(a run of ``run_class`` terms exists and every such run is longer than k)."""
-    # state: (current run length capped at k+1, any run seen)
-    def step(state, ci):
+def shortest_run_automaton(k: int, run_class: int) -> Automaton:
+    """A run of class-``run_class`` terms exists and every such run is longer
+    than k; exact.  Class 0 is a zero term and class 1 a nonzero one, and the
+    state is (current run length capped at k + 1, any run seen)."""
+    def step(state, a):
         run, seen = state
-        if ci == run_class:
+        if a == run_class:
             return (min(run + 1, k + 1), True)
-        if 0 < run <= k:
-            return DEAD
-        return (0, seen)
+        return DEAD if 0 < run <= k else (0, seen)
 
     def accept(state):
         run, seen = state
         return seen and not (0 < run <= k)
 
-    return _exact(_transfer(n, _weights([0, 1], p), (0, False), step, accept))
+    return Automaton((0, False), step, (0, 1), accept)
 
 
-# ----- (value, run) automaton with truncation --------------------------------
-# cuts range(cap + 2): values 0..cap are classes of their own, the last lumps > cap
-
-def _cap(tail: Callable[[int], float], width: float) -> int:
-    """Least cap c >= 0 with tail(c) <= width."""
-    c = 0
-    while tail(c) > width:
-        c += 1
-    return c
-
-
-def value_run_prob(n: int, p: float, need: Callable[[int], int | None],
-                   width: float = DEFAULT_WIDTH,
-                   tail: Callable[[int], float] | None = None) -> ExactProbability:
-    """P(some value v occurs as need(v) equal consecutive terms) as an interval.
+def value_run_automaton(need: Callable[[int], int | None],
+                        tail: Callable[[int, float, int], float] = union_bound) -> Automaton:
+    """Some value v occurs as need(v) equal consecutive terms.
 
     ``need(v)`` is the run length value v needs, or None when v breaks every
-    run.  ``tail(c)`` bounds P(some value above c completes its run); by
-    default it is n * p**(c+1), the union bound on any term exceeding c.
-    Values above the cap, the least c with tail(c) <= width, share one class
-    and break runs, so lo = P(some value <= cap completes its run) is exact
-    and [lo, lo + tail(cap)] is certified.
+    run.  Values above the cap break runs too, so the automaton misses only
+    runs of them, whose mass ``tail`` bounds.  The state is (value, run length).
     """
-    tail = tail or (lambda c: n * p ** (c + 1))
-    cap = _cap(tail, width)
-
     def step(state, v):
-        k = need(v) if v <= cap else None
+        k = None if v is None else need(v)
         if k is None:
             return (None, 0)
         last, run = state
         run = run + 1 if v == last else 1
         return FOUND if run >= k else (v, run)
 
-    lo = _transfer(n, _weights(range(cap + 2), p), (None, 0), step)
-    return ExactProbability(min(lo, 1.0), min(lo + tail(cap), 1.0), "transfer_dp")
-
-
-# ----- public dispatch ------------------------------------------------------
-
-def _exact(v: float) -> ExactProbability:
-    v = min(max(v, 0.0), 1.0)
-    return ExactProbability(v, v, "transfer_dp")
-
-
-def complement(res: ExactProbability) -> ExactProbability:
-    """The interval of the complementary event."""
-    return ExactProbability(max(1.0 - res.hi, 0.0), min(1.0 - res.lo, 1.0), res.method)
+    return Automaton((None, 0), step, None, None, tail)
 
 
 def exact_prob_geometric_consecutive(n: int, p: float, statistic,
@@ -286,21 +313,19 @@ def exact_prob_geometric_consecutive(n: int, p: float, statistic,
     """P(property holds for C(n, p)) as a certified interval.
 
     ``statistic`` is a consecutive e/u/l PatternSpec (existence
-    probability), a form from ``Property.oracle_form()``, or a
+    probability), an Automaton such as ``Property.oracle_form()`` gives, or a
     (statistic_id, params) pair, which names the Property whose form is used.
-    A form other than a pattern is called as form(n, p, width).
     """
     check_geometric(n, p)
-    form = statistic
-    if not isinstance(form, PatternSpec) and not callable(form):
+    if isinstance(statistic, PatternSpec):
+        statistic = pattern_automaton(statistic)
+    elif not isinstance(statistic, Automaton):
         from .properties import Property  # properties builds its forms from this module
         sid, params = statistic
-        form = Property(sid, dict(params)).oracle_form()
-        if form is None:
+        statistic = Property(sid, dict(params)).oracle_form()
+        if statistic is None:
             raise UnsupportedProperty(f"statistic {sid!r} has no geometric-model oracle")
-    if isinstance(form, PatternSpec):
-        return pattern_prob(n, p, form)
-    return form(n, p, width)
+    return transfer(n, p, statistic, width)
 
 
 def window_prob_geometric(spec: PatternSpec, p: float,
@@ -316,13 +341,14 @@ def window_prob_geometric(spec: PatternSpec, p: float,
         raise UnsupportedProperty("per-window probability needs a consecutive pattern")
     k = spec.length
     check_geometric(k, p)
+    _check_width(width)
     if spec.kind is not PatternKind.ORDERING:
-        return pattern_prob(k, p, spec)
+        return transfer(k, p, pattern_automaton(spec), width)
     if p == 0.0:
         v = 1.0 if match((0,) * k, spec).exists else 0.0
         return ExactProbability(v, v, "window_enum")
-    V = _cap(lambda v: k * p ** (v + 1), width)
-    if (V + 1) ** k > 20_000_000:
+    V = _cap(lambda v: union_bound(k, p, v), width, WINDOW_GUARD)
+    if (V + 1) ** k > WINDOW_GUARD:
         raise GuardExceeded(f"window enumeration needs {(V + 1) ** k} tuples")
     q = 1.0 - p
     # vectorized over the full grid of value tuples
@@ -334,5 +360,4 @@ def window_prob_geometric(spec: PatternSpec, p: float,
     for i, j in combinations(range(k), 2):
         ok &= relation(pat[i], pat[j])(grids[i], grids[j])
     lo = float(np.exp(logw[ok]).sum())
-    tail = min(k * p ** (V + 1), 1.0)
-    return ExactProbability(min(lo, 1.0), min(lo + tail, 1.0), "window_enum")
+    return ExactProbability(min(lo, 1.0), min(lo + union_bound(k, p, V), 1.0), "window_enum")

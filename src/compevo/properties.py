@@ -17,9 +17,8 @@
   ``Property.holds_batch`` hands it the matrix in row blocks of about
   ``BLOCK_TERMS`` terms, so that its temporaries stay in cache; a row's
   answer depends on that row alone, so the split never changes an answer;
-* its geometric oracle form, when it has one: a consecutive e/u/l pattern
-  whose existence is the statistic, or a call (n, p, width) into one of the
-  automata of ``oracle``;
+* its geometric oracle form, when it has one: an ``oracle.Automaton`` that
+  recognizes the statistic, read by ``oracle.transfer``;
 * its ``theory.Scaling`` (threshold side and exponent, Poisson mean).
 
 ``Property`` (id, parameters, parsed pattern) is the picklable handle callers
@@ -92,7 +91,7 @@ class StatisticDef:
     keys: tuple[str, ...]  # the names in PARAMS it takes
     minimum: int | None = None  # the least value its one required parameter may take
     kind: PatternKind | None = None  # consecutive patterns of this kind only
-    oracle_form: Callable[[Property], object] | None = None  # None: no geometric oracle
+    oracle_form: Callable[[Property], oracle.Automaton] | None = None  # None: no oracle
     scaling: Callable[[Property], Scaling] | None = None
     # the threshold when it is no power of n; replaces the scaling's
     threshold: Callable[[Property, int], theory.TheoryPrediction] | None = None
@@ -167,8 +166,8 @@ class Property:
             out[start:start + rows] = row_batch(self, samples[start:start + rows])
         return out
 
-    def oracle_form(self):
-        """Argument for the geometric DP oracle, or None when unsupported."""
+    def oracle_form(self) -> oracle.Automaton | None:
+        """The automaton of the geometric DP oracle, or None when unsupported."""
         form = STATISTICS[self.statistic_id].oracle_form
         return None if form is None else form(self)
 
@@ -218,7 +217,8 @@ def _ordering_batch(samples: np.ndarray, spec: PatternSpec) -> np.ndarray:
 
 def _consecutive_form(prop: Property):
     spec = prop.spec
-    return spec if len(spec.blocks) == 1 and spec.kind is not PatternKind.ORDERING else None
+    consecutive = len(spec.blocks) == 1 and spec.kind is not PatternKind.ORDERING
+    return oracle.pattern_automaton(spec) if consecutive else None
 
 
 def _pattern_row(kind: PatternKind | None, scaling=None) -> StatisticDef:
@@ -229,24 +229,21 @@ def _pattern_row(kind: PatternKind | None, scaling=None) -> StatisticDef:
 
 
 # u:[0] matches every term: the form of a statistic that always holds
-_ALWAYS = PatternSpec(PatternKind.UPPER, ((0,),))
+_ALWAYS = oracle.pattern_automaton(PatternSpec(PatternKind.UPPER, ((0,),)))
 
 
-def _run_form(kind: PatternKind, term: int):
+def _run_form(kind: PatternKind, term: int, k: int) -> oracle.Automaton:
     """k consecutive terms each matching ``term`` under ``kind``: the pattern term^k."""
-    def form(prop: Property):
-        k = prop.params["k"]
-        return PatternSpec(kind, ((term,) * k,)) if k > 0 else _ALWAYS
-    return form
+    return oracle.pattern_automaton(PatternSpec(kind, ((term,) * k,))) if k > 0 else _ALWAYS
 
 
-def _tmin_form(prop: Property):
-    # every term is >= r unless the lower pattern [r - 1] occurs
+def _tmin_form(prop: Property) -> oracle.Automaton:
+    # every term is >= r: a term of class [0, r) is DEAD, and every live state accepts
     r = prop.params["r"]
     if r <= 0:
         return _ALWAYS
-    spec = PatternSpec(PatternKind.LOWER, ((r - 1,),))
-    return lambda n, p, width: oracle.complement(oracle.pattern_prob(n, p, spec))
+    return oracle.Automaton(0, lambda state, a: oracle.DEAD if a < r else state, (0, r),
+                            lambda state: True)
 
 
 def _exact_scaling(prop: Property) -> Scaling:
@@ -300,21 +297,22 @@ def _equal_run_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
     return _has_true_run(eq, k - 1)
 
 
-def _equal_run_form(prop: Property):
+def _equal_run_form(prop: Property) -> oracle.Automaton:
     k = prop.params["k"]
     if k <= 0:
         return _ALWAYS
     nonzero = prop.params["nonzero"]  # then a zero term breaks every run
-    return lambda n, p, width: oracle.value_run_prob(
-        n, p, lambda v: k if v or not nonzero else None, width)
+    return oracle.value_run_automaton(lambda v: k if v or not nonzero else None)
 
 
-def _carlitz_form(prop: Property):
-    # Carlitz iff no value occurs twice in a row
-    return lambda n, p, width: oracle.complement(oracle.value_run_prob(n, p, lambda v: 2, width))
+# Carlitz iff no value occurs twice in a row.  The state is the last value; a
+# value above the cap (None) counts as equal to its neighbours, so the
+# automaton misses only compositions with such a term.
+_CARLITZ = oracle.Automaton(None, lambda last, v: oracle.DEAD if v is None or v == last else v,
+                            None, lambda last: True)
 
 
-def _any_square_form(prop: Property):
+def _any_square_form(prop: Property) -> oracle.Automaton:
     """A square of side v >= min_k is a run of v terms equal to v."""
     min_k = prop.params["min_k"]
     if min_k <= 0:
@@ -322,9 +320,9 @@ def _any_square_form(prop: Property):
     # a square of side s occurs with probability at most n * p**(s*s), so sides
     # above w and from min_k on add at most n * p**(max(w+1, min_k)**2) / (1 - p);
     # none is longer than n.  The cap w is near the root of a term cap: ~w**2/2 states.
-    return lambda n, p, width: oracle.value_run_prob(
-        n, p, lambda v: v if v >= min_k else None, width,
-        lambda w: n * p ** (max(w + 1, min_k) ** 2) / (1.0 - p) if w < n else 0.0)
+    return oracle.value_run_automaton(
+        lambda v: v if v >= min_k else None,
+        lambda n, p, w: n * p ** (max(w + 1, min_k) ** 2) / (1.0 - p) if w < n else 0.0)
 
 
 def _equal_run_scaling(prop: Property) -> Scaling:
@@ -401,8 +399,7 @@ def _shortest_run(report, mask, param: str, what: str, run_class: int) -> Statis
         holds=holds,
         holds_batch=lambda prop, x: _min_run_gt(mask(x), prop.params["k"]),
         keys=("k", "side"),
-        oracle_form=lambda prop: lambda n, p, width: oracle.shortest_run_prob(
-            n, p, prop.params["k"], run_class),
+        oracle_form=lambda prop: oracle.shortest_run_automaton(prop.params["k"], run_class),
         scaling=lambda prop: Scaling(param, 2, f"{what} of length <= {prop.params['k']}",
                                      coefficient=prop.params["k"]))
 
@@ -417,9 +414,9 @@ STATISTICS: dict[str, StatisticDef] = {
     "contains": _pattern_row(None, _contains_scaling),
     # a component of length >= k is the upper pattern 1^k, a gap the exact pattern 0^k
     "cmax_ge": _longest_run(analysis.components, lambda x: x > 0, "p", "components",
-                            _run_form(PatternKind.UPPER, 1)),
+                            lambda prop: _run_form(PatternKind.UPPER, 1, prop.params["k"])),
     "gmax_ge": _longest_run(analysis.gaps, lambda x: x == 0, "q", "gaps",
-                            _run_form(PatternKind.EXACT, 0)),
+                            lambda prop: _run_form(PatternKind.EXACT, 0, prop.params["k"])),
     "cmin_gt": _shortest_run(analysis.components, lambda x: x > 0, "q", "components", 1),
     "gmin_gt": _shortest_run(analysis.gaps, lambda x: x == 0, "p", "gaps", 0),
     "tmax_ge": StatisticDef(
@@ -427,7 +424,7 @@ STATISTICS: dict[str, StatisticDef] = {
         holds_batch=lambda prop, x: (x >= prop.params["r"]).any(axis=1),
         keys=("r", "side"),
         # the one-term upper pattern [r]; [0] for r <= 0 matches every term
-        oracle_form=lambda prop: PatternSpec(PatternKind.UPPER, ((max(prop.params["r"], 0),),)),
+        oracle_form=lambda prop: _run_form(PatternKind.UPPER, max(prop.params["r"], 0), 1),
         scaling=lambda prop: Scaling("p", prop.params["r"], f"terms >= {prop.params['r']}")),
     "tmin_ge": StatisticDef(
         holds=lambda prop, c: analysis.extremes(c).tmin >= prop.params["r"],
@@ -458,7 +455,7 @@ STATISTICS: dict[str, StatisticDef] = {
         holds=lambda prop, c: analysis.is_carlitz(c),
         holds_batch=lambda prop, x: (x[:, 1:] != x[:, :-1]).all(axis=1),
         keys=("side",),
-        oracle_form=_carlitz_form,
+        oracle_form=lambda prop: _CARLITZ,
         scaling=lambda prop: Scaling("q", 1, "adjacent equal terms (Carlitz iff none occur)",
                                      coefficient=0.5)),
     "increasing_run": StatisticDef(
@@ -475,8 +472,7 @@ STATISTICS: dict[str, StatisticDef] = {
         # a 0-square has no defined meaning: holds and holds_batch would disagree
         minimum=1,
         # a k-square is a run of k terms equal to k: the exact pattern k^k
-        oracle_form=lambda prop: PatternSpec(PatternKind.EXACT,
-                                             ((prop.params["k"],) * prop.params["k"],)),
+        oracle_form=lambda prop: _run_form(PatternKind.EXACT, prop.params["k"], prop.params["k"]),
         threshold=lambda prop, n: theory.square_threshold(n, prop.params["c"])),
     "any_square": StatisticDef(
         holds=lambda prop, c: analysis.largest_square(c) >= prop.params["min_k"],

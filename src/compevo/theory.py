@@ -257,8 +257,8 @@ def poisson_limit(statistic_id: str, params: dict, alpha: float) -> TheoryPredic
     ``P(X = 0) = exp(-mean)`` and ``P(X > 0) = 1 - exp(-mean)`` are available
     via ``prob_none`` / ``prob_some`` on the returned prediction.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     s = _scaling(*_statistic(statistic_id, params))
     if s.coefficient is None:
         raise UnsupportedProperty(f"statistic {statistic_id!r} has no known Poisson limit "

@@ -117,6 +117,9 @@ def test_sample_seed_defaults_to_zero():
     # any text but 1/true/yes read as false
     ("oracle geometric n=20 p=0.5 --statistic equal_run k=2 nonzero=flase",
      "bad value for nonzero: 'flase'"),
+    # a Poisson mean of NaN or inf was printed as JSON it is not, with exit 0
+    ("theory poisson cmax_ge k=2 alpha=nan", "alpha must be positive and finite, got nan"),
+    ("theory poisson cmax_ge k=2 alpha=inf", "alpha must be positive and finite, got inf"),
 ])
 def test_invalid_model_point_is_one_error_line(capsys, argv, message):
     assert run_cli(*argv.split()) == (1, "")
@@ -308,6 +311,9 @@ def test_oracle_unsupported_exit_code():
 def test_oracle_guard_exit_code():
     code, _ = run_cli("oracle", "uniform", "n=40", "m=40",
                       "--pattern", "e:[1,1]")
+    assert code == 2
+    # about 22,000 value classes: it ran until killed
+    code, _ = run_cli("oracle", "geometric", "n=5", "p=0.999", "--statistic", "carlitz")
     assert code == 2
 
 

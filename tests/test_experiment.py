@@ -116,6 +116,9 @@ def test_config_validation_errors():
             ({"grid": {**alphas, "param": "x"}}, "grid param must be 'p' or 'q', got 'x'"),
             ({"grid": {"n": 100, "m_exponents": ["0.5"]}, **uniform},
              "grid m_exponents must be float, got '0.5'"),
+            # int(round(n ** nan)) named no field
+            ({"grid": {"n": 100, "m_exponents": [math.nan]}, **uniform},
+             "grid m_exponents must be a number, got nan"),
             # these were TypeErrors: from dict(...), a list as a dict key, iterating a float
             ({"property": {"statistic": "cmax_ge", "params": [2]}},
              "property params must be dict, got [2]"),

@@ -8,9 +8,9 @@ import pytest
 
 from compevo import theory
 from compevo.core import GuardExceeded, PatternKind, UnsupportedProperty
-from compevo.oracle import (DEFAULT_WIDTH, exact_prob_geometric_consecutive,
-                            exact_prob_uniform, iter_uniform, negbin_log_pmf,
-                            window_prob_geometric)
+from compevo.oracle import (DEFAULT_WIDTH, TRANSFER_GUARD, Automaton,
+                            exact_prob_geometric_consecutive, exact_prob_uniform, iter_uniform,
+                            negbin_log_pmf, transfer, window_prob_geometric)
 from compevo.patterns import parse_pattern
 from compevo.properties import STATISTICS, Property
 from conftest import PROPERTIES
@@ -179,7 +179,7 @@ def test_interval_width_shrinks_with_cap():
 
 
 def test_closed_forms_match_dp():
-    # tmax via the pattern u:[r] and tmin via the complement of l:[r - 1]
+    # tmax via the pattern u:[r] and tmin via its automaton, dead on a term below r,
     # equal the theory module formulas
     res = exact_prob_geometric_consecutive(10, 0.4, ("tmax_ge", {"r": 2}))
     assert res.lo == pytest.approx(1 - theory.prob_tmax_lt(10, 0.4, 2).value)
@@ -193,6 +193,60 @@ def test_closed_forms_match_dp():
         res = exact_prob_geometric_consecutive(5, 0.7, ("tmin_ge", {"r": r}))
         assert res.width == 0.0
         assert abs(res.lo - theory.prob_tmin_ge(5, 0.7, r).value) <= 1e-12
+
+
+def test_tmin_and_carlitz_keep_tiny_probabilities():
+    # each automaton recognizes its own event; 1 - P(complement) read 2.2e-16
+    # at the first point and was 1.6e-5 off at the second
+    for n, r in [(200, 2), (7, 3)]:
+        res = exact_prob_geometric_consecutive(n, 0.3, ("tmin_ge", {"r": r}))
+        assert res.width == 0.0
+        assert res.lo == pytest.approx(0.3 ** (r * n), rel=1e-12)
+    # P(Carlitz) = sum over m of P(|C| = m) P_uniform(Carlitz | m) = 9.96025e-13;
+    # the tail of m > 10 is below 1e-7 of it.  1 - P(equal neighbours) read 0.0
+    n, p = 9, 1e-3
+    holds = Property("carlitz").holds
+    want = sum(math.exp(negbin_log_pmf(n, p, m)) * float(exact_prob_uniform(n, m, holds).rational)
+               for m in range(11))
+    res = exact_prob_geometric_consecutive(n, p, ("carlitz", {}))
+    assert res.lo <= want <= res.hi
+    # at the cap 3 it misses the four Carlitz compositions of sum 7 with a 4,
+    # 4e-9 of the answer; at width 1e-15 the cap is 5
+    assert res.lo == pytest.approx(want, rel=5e-9)
+    res = exact_prob_geometric_consecutive(n, p, ("carlitz", {}), width=1e-15)
+    assert res.lo == pytest.approx(want, rel=1e-9)
+
+
+def _never(state, a):
+    raise AssertionError("the automaton was stepped")
+
+
+def test_transfer_refuses_too_many_classes_before_stepping():
+    with pytest.raises(GuardExceeded, match=f"more than {TRANSFER_GUARD} value classes"):
+        transfer(5, 0.5, Automaton(0, _never, tuple(range(TRANSFER_GUARD + 1))))
+    # without cuts, a tail that never falls within the width
+    with pytest.raises(GuardExceeded, match=f"more than {TRANSFER_GUARD} value classes"):
+        transfer(5, 0.5, Automaton(0, _never, tail=lambda n, p, cap: 1.0))
+    with pytest.raises(GuardExceeded, match=f"more than {TRANSFER_GUARD} value classes"):
+        exact_prob_geometric_consecutive(5, 0.999, ("carlitz", {}))
+
+
+def test_transfer_refuses_too_many_states():
+    # every step discovers a state, whatever n is
+    with pytest.raises(GuardExceeded, match=f"more than {TRANSFER_GUARD} states"):
+        transfer(2, 0.5, Automaton(0, lambda state, a: state + 1, (0,)))
+
+
+@pytest.mark.parametrize("width", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_width_is_refused_before_any_work(width):
+    # -1.0 looped forever choosing the cap, and nan answered [0, 0.406]
+    with pytest.raises(ValueError, match="width must be positive and finite"):
+        transfer(5, 0.5, Automaton(None, _never), width)
+    with pytest.raises(ValueError, match="width must be positive and finite"):
+        exact_prob_geometric_consecutive(5, 0.5, ("carlitz", {}), width=width)
+    for text in ("o:[0,1]", "e:[1,1]"):
+        with pytest.raises(ValueError, match="width must be positive and finite"):
+            window_prob_geometric(parse_pattern(text), 0.5, width)
 
 
 def test_square_statistic_via_pattern():
