@@ -42,6 +42,11 @@ TermsLike = Union["Composition", Sequence[int], np.ndarray]
 BLOCK_TERMS = 1 << 18
 
 
+def block_rows(n: int) -> int:
+    """Rows of n terms in one block of about ``BLOCK_TERMS`` terms: whole rows, at least one."""
+    return max(1, BLOCK_TERMS // max(n, 1))
+
+
 class GuardExceeded(RuntimeError):
     """An operation was refused because it would exceed a configured size guard."""
 

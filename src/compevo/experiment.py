@@ -213,10 +213,14 @@ def _parse_grid(gdoc, model: str) -> list[GridPoint]:
     if param not in ("p", "q"):
         raise ValueError(f"grid param must be 'p' or 'q', got {param!r}")
     e = typed(float, gdoc["exponent"], "grid exponent")
+    try:
+        power = n ** e
+    except OverflowError:  # n or n ** e beyond the float range
+        raise ValueError(f"grid n={n}: n^e overflows for the exponent {e!r}") from None
     pts = []
     for a in typed(list, gdoc["alphas"], "grid alphas"):
         a = typed(float, a, "grid alphas")
-        scale = a * n ** e
+        scale = a * power
         p = scale if param == "p" else 1.0 - scale
         pts.append(_check_point(GridPoint(n=n, model=model, p=p, alpha=a)))
     return pts

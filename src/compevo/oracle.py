@@ -347,7 +347,13 @@ def window_prob_geometric(spec: PatternSpec, p: float,
     if p == 0.0:
         v = 1.0 if match((0,) * k, spec).exists else 0.0
         return ExactProbability(v, v, "window_enum")
-    V = _cap(lambda v: union_bound(k, p, v), width, WINDOW_GUARD)
+    # the least V with union_bound(k, p, V) <= width, in closed form and then
+    # checked against union_bound itself, which the rounding of log may miss by one
+    V = max(math.ceil(math.log(width / k) / math.log(p)) - 1, 0)
+    while V > 0 and union_bound(k, p, V - 1) <= width:
+        V -= 1
+    while union_bound(k, p, V) > width:
+        V += 1
     if (V + 1) ** k > WINDOW_GUARD:
         raise GuardExceeded(f"window enumeration needs {(V + 1) ** k} tuples")
     q = 1.0 - p

@@ -7,9 +7,10 @@
 * a scalar predicate on one composition, the slow reference route that the
   enumeration oracle and the brute-force cross-checks use;
 * a vectorized predicate on a (trials, n) sample matrix, the Monte Carlo
-  fast path.  Its loops run over pattern length and block count, never over
-  trials.  Each pattern is one greedy scan of its blocks
-  (``_batch_block_chain``: the first block unmasked, ``any`` on the last).
+  fast path.  Its loops never run over trials, and k consecutive positions
+  cost about log2 k array passes (``_run_starts``).  Each pattern is one
+  greedy scan of its blocks (``_batch_block_chain``: the first block
+  unmasked, ``any`` on the last).
   An ordering pattern of several blocks holds where one of its exact patterns
   (``patterns.exact_patterns`` over the values of the row) does, so a row
   whose values give more than ``patterns.ASSIGNMENT_CAP`` of them is refused
@@ -30,13 +31,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import analysis, oracle, patterns, theory
-from .core import (BLOCK_TERMS, BlockStructure, GuardExceeded, PatternKind, PatternSpec,
-                   UnsupportedProperty, as_terms)
+from .core import (BlockStructure, GuardExceeded, PatternKind, PatternSpec,
+                   UnsupportedProperty, as_terms, block_rows)
 from .theory import Scaling
 
 REQUIRED = object()  # the default of a parameter that must be given
@@ -154,13 +156,13 @@ class Property:
     def holds_batch(self, samples: np.ndarray) -> np.ndarray:
         """Boolean vector: property holds for each row of a (trials, n) matrix.
 
-        The row's predicate sees blocks of about ``BLOCK_TERMS`` terms (whole
-        rows, at least one), so its temporaries stay in cache; each row's answer
-        depends on that row alone, so the split never changes an answer.
+        The row's predicate sees blocks of ``core.block_rows(n)`` rows, so its
+        temporaries stay in cache; each row's answer depends on that row
+        alone, so the split never changes an answer.
         """
         row_batch = STATISTICS[self.statistic_id].holds_batch
         trials, n = samples.shape
-        rows = max(1, BLOCK_TERMS // max(n, 1))
+        rows = block_rows(n)
         out = np.empty(trials, dtype=bool)
         for start in range(0, trials, rows):
             out[start:start + rows] = row_batch(self, samples[start:start + rows])
@@ -378,18 +380,19 @@ def _any_square_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def _longest_run(report, mask, param: str, what: str, form) -> StatisticDef:
-    """Longest component or gap >= k; ``mask`` marks the terms it is made of."""
+def _longest_run(report, kind: PatternKind, term: int, param: str, what: str) -> StatisticDef:
+    """Longest component or gap >= k: the pattern term^k of ``kind``."""
     return StatisticDef(
         holds=lambda prop, c: report(c).longest >= prop.params["k"],
-        holds_batch=lambda prop, x: _has_true_run(mask(x), prop.params["k"]),
+        holds_batch=lambda prop, x: _has_true_run(patterns.COMPARE[kind](x, term),
+                                                  prop.params["k"]),
         keys=("k", "side"),
-        oracle_form=form,
+        oracle_form=lambda prop: _run_form(kind, term, prop.params["k"]),
         scaling=lambda prop: Scaling(param, prop.params["k"],
                                      f"{what} of length >= {prop.params['k']}"))
 
 
-def _shortest_run(report, mask, param: str, what: str, run_class: int) -> StatisticDef:
+def _shortest_run(report, run_class: int, param: str, what: str) -> StatisticDef:
     """Some component (or gap) exists and every one is longer than k; the
     oracle's zero/nonzero alphabet calls its terms class ``run_class``."""
     def holds(prop, c):
@@ -397,7 +400,8 @@ def _shortest_run(report, mask, param: str, what: str, run_class: int) -> Statis
         return rep.count > 0 and rep.shortest > prop.params["k"]
     return StatisticDef(
         holds=holds,
-        holds_batch=lambda prop, x: _min_run_gt(mask(x), prop.params["k"]),
+        holds_batch=lambda prop, x: _min_run_gt((x > 0) if run_class else (x == 0),
+                                                prop.params["k"]),
         keys=("k", "side"),
         oracle_form=lambda prop: oracle.shortest_run_automaton(prop.params["k"], run_class),
         scaling=lambda prop: Scaling(param, 2, f"{what} of length <= {prop.params['k']}",
@@ -413,12 +417,10 @@ STATISTICS: dict[str, StatisticDef] = {
     "ordering_consec": _pattern_row(PatternKind.ORDERING, _ordering_scaling),
     "contains": _pattern_row(None, _contains_scaling),
     # a component of length >= k is the upper pattern 1^k, a gap the exact pattern 0^k
-    "cmax_ge": _longest_run(analysis.components, lambda x: x > 0, "p", "components",
-                            lambda prop: _run_form(PatternKind.UPPER, 1, prop.params["k"])),
-    "gmax_ge": _longest_run(analysis.gaps, lambda x: x == 0, "q", "gaps",
-                            lambda prop: _run_form(PatternKind.EXACT, 0, prop.params["k"])),
-    "cmin_gt": _shortest_run(analysis.components, lambda x: x > 0, "q", "components", 1),
-    "gmin_gt": _shortest_run(analysis.gaps, lambda x: x == 0, "p", "gaps", 0),
+    "cmax_ge": _longest_run(analysis.components, PatternKind.UPPER, 1, "p", "components"),
+    "gmax_ge": _longest_run(analysis.gaps, PatternKind.EXACT, 0, "q", "gaps"),
+    "cmin_gt": _shortest_run(analysis.components, 1, "q", "components"),
+    "gmin_gt": _shortest_run(analysis.gaps, 0, "p", "gaps"),
     "tmax_ge": StatisticDef(
         holds=lambda prop, c: analysis.extremes(c).tmax >= prop.params["r"],
         holds_batch=lambda prop, x: (x >= prop.params["r"]).any(axis=1),
@@ -484,59 +486,55 @@ STATISTICS: dict[str, StatisticDef] = {
 
 # -- vectorized helpers ----------------------------------------------------------
 
+def _run_starts(mask: np.ndarray, k: int) -> np.ndarray:
+    """(trials, n - k + 1) mask of where k >= 1 consecutive Trues start, no column
+    when k > n.  Each pass doubles the run length checked and one overlapping
+    pass adds the rest, so a run of k costs about log2 k passes."""
+    acc, length = mask, 1
+    while 2 * length <= k:
+        acc = acc[:, :-length] & acc[:, length:]
+        length *= 2
+    if length < k:
+        acc = acc[:, :length - k] & acc[:, k - length:]
+    return acc
+
+
 def _has_true_run(mask: np.ndarray, k: int) -> np.ndarray:
     """Row-wise: does a run of k consecutive True values exist."""
-    n = mask.shape[1]
     if k <= 0:
         return np.ones(mask.shape[0], dtype=bool)
-    if k > n:
-        return np.zeros(mask.shape[0], dtype=bool)
-    acc = mask[:, : n - k + 1].copy()
-    for i in range(1, k):
-        acc &= mask[:, i : n - k + 1 + i]
-    return acc.any(axis=1)
+    return _run_starts(mask, k).any(axis=1)
 
 
 def _min_run_gt(mask: np.ndarray, k: int) -> np.ndarray:
     """Row-wise: at least one maximal True run exists and all have length > k."""
-    trials, n = mask.shape
-    edge = np.ones((trials, 1), dtype=bool)
-    pad = np.zeros((trials, 1), dtype=bool)
-    # both boundaries act as run delimiters
-    z = np.concatenate([edge, ~mask, edge], axis=1)
-    t = np.concatenate([pad, mask, pad], axis=1)
-    # a run starting at j (z at j-1, t at j) is short iff a zero occurs
-    # within the next k positions
-    starts = z[:, :-1] & t[:, 1:]
-    width = starts.shape[1]
-    short = np.zeros_like(starts)
-    for d in range(1, k + 1):
-        shifted = np.zeros_like(starts)
-        if width - d > 0:
-            shifted[:, : width - d] = z[:, 1 + d :]
-        short |= shifted
-    bad = (starts & short).any(axis=1)
-    return mask.any(axis=1) & ~bad
+    short = mask.copy()
+    short[:, 1:] &= ~mask[:, :-1]  # the start of each maximal run...
+    long = _run_starts(mask, max(k, 0) + 1)
+    short[:, :long.shape[1]] &= ~long  # ...that k + 1 Trues do not follow
+    return mask.any(axis=1) & ~short.any(axis=1)
 
 
 def _anchor_mask(samples: np.ndarray, kind: PatternKind,
                  block: tuple[int, ...]) -> np.ndarray:
-    """(trials, n - len + 1) mask of the anchors where ``block`` matches.
-
-    Loops only over the block length; the caller ensures len(block) <= n.
-    """
+    """(trials, n - len + 1) mask of the anchors where ``block`` matches; the
+    caller ensures len(block) <= n.  Each run of equal e/u/l terms is one
+    comparison and one ``_run_starts``."""
     k = len(block)
     w = samples.shape[1] - k + 1
 
-    def window(j):
-        return samples[:, j : j + w]
+    def window(j, width=w):
+        return samples[:, j : j + width]
 
     if kind is PatternKind.ORDERING:
         # compare the terms directly: a difference would wrap for narrow or unsigned dtypes
         tests = (patterns.relation(block[a], block[b])(window(a), window(b))
                  for a in range(k) for b in range(a + 1, k))
     else:
-        tests = (patterns.COMPARE[kind](window(j), r) for j, r in enumerate(block))
+        runs = [(term, len(list(group))) for term, group in groupby(block)]
+        offsets = accumulate((run for _, run in runs), initial=0)
+        tests = (_run_starts(patterns.COMPARE[kind](window(j, w + run - 1), term), run)
+                 for j, (term, run) in zip(offsets, runs))
     acc = next(tests, None)
     if acc is None:  # a one-term ordering block matches at every anchor
         return np.ones((samples.shape[0], w), dtype=bool)

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .core import BLOCK_TERMS, Composition, check_geometric, check_uniform
+from .core import Composition, block_rows, check_geometric, check_uniform
 from .rng import RngStream
 
 
@@ -148,7 +148,7 @@ def uniform_bars_batch(n: int, m: int, count: int, rng: RngStream) -> np.ndarray
         # a row's k flat indices land in its own n cells; intp indices and an
         # increment of out's dtype keep np.add.at off its slow generic path
         cells, one = out.ravel(), out.dtype.type(1)
-        rows = max(1, BLOCK_TERMS // n)
+        rows = block_rows(n)
         for start in range(0, count, rows):
             stop = min(start + rows, count)
             index = balls[:, start:stop].T.astype(np.intp)

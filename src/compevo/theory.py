@@ -24,6 +24,7 @@ possible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp, expm1, lgamma, log, log1p
@@ -263,7 +264,13 @@ def poisson_limit(statistic_id: str, params: dict, alpha: float) -> TheoryPredic
     if s.coefficient is None:
         raise UnsupportedProperty(f"statistic {statistic_id!r} has no known Poisson limit "
                                   "for these parameters")
-    return TheoryPrediction(s.coefficient * alpha ** s.power, "poisson_mean",
+    try:
+        mean = s.coefficient * alpha ** s.power
+    except OverflowError:
+        mean = math.inf
+    if mean == math.inf:
+        raise ValueError(f"the Poisson mean at alpha={alpha!r} overflows")
+    return TheoryPrediction(mean, "poisson_mean",
                             regime=f"{s.param} ~ alpha*n^({s.exponent}); {s.what}",
                             exact=False)
 
@@ -284,6 +291,8 @@ def threshold_location(statistic_id: str, params: dict, n: int) -> TheoryPredict
     """
     if n < 2:  # p* or q* = n^exponent is below 1 only from n = 2
         raise ValueError("need n >= 2")
+    if n > sys.float_info.max:  # n^exponent and m* are floats
+        raise ValueError(f"need n <= {sys.float_info.max:.4g}, the largest float")
     prop, row = _statistic(statistic_id, params)
     if row.threshold is not None:
         return row.threshold(prop, n)

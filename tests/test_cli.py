@@ -120,6 +120,9 @@ def test_sample_seed_defaults_to_zero():
     # a Poisson mean of NaN or inf was printed as JSON it is not, with exit 0
     ("theory poisson cmax_ge k=2 alpha=nan", "alpha must be positive and finite, got nan"),
     ("theory poisson cmax_ge k=2 alpha=inf", "alpha must be positive and finite, got inf"),
+    # a bare OverflowError: n^exponent of an n no float holds, and alpha^2 beyond the floats
+    (f"theory threshold cmax_ge k=2 n={10 ** 400}", "need n <= 1.798e+308, the largest float"),
+    ("theory poisson cmax_ge k=2 alpha=1e200", "the Poisson mean at alpha=1e+200 overflows"),
 ])
 def test_invalid_model_point_is_one_error_line(capsys, argv, message):
     assert run_cli(*argv.split()) == (1, "")

@@ -93,6 +93,11 @@ def test_config_validation_errors():
         _config(grid=[{"n": 100, "m": 2 ** 63}], **uniform)
     with pytest.raises(ValueError, match="grid n=100: n\\^c overflows"):
         _config(grid={"n": 100, "m_exponents": [1000.0]}, **uniform)
+    # a float n ** e beyond the float range, or an n no float holds, was a bare OverflowError
+    with pytest.raises(ValueError, match="grid n=100: n\\^e overflows for the exponent 400.0"):
+        _config(grid={"n": 100, "alphas": [1.0], "exponent": 400.0})
+    with pytest.raises(ValueError, match="n\\^e overflows for the exponent -0.5"):
+        _config(grid={"n": 10 ** 400, "alphas": [1.0], "exponent": -0.5})
     with pytest.raises(ValueError, match=r"grid point \(n=50, p=1.0\)"):
         _config(grid=[{"n": 50, "p": 1.0}])
     with pytest.raises(ValueError, match=r"grid point \(n=0, p=0.1\)"):

@@ -383,6 +383,13 @@ def test_window_ordering_at_p_zero_and_past_its_guard():
         window_prob_geometric(parse_pattern("o:[0,1,2,3]"), 0.9)
 
 
+def test_window_cap_names_the_true_tuple_count():
+    # V + 1 = 214164209 terms per place, from the closed form of 2 * p**(V + 1) <= 1e-9;
+    # a cap search stepping V up to the guard took 5 s and named its capped count
+    with pytest.raises(GuardExceeded, match="needs 45866270295374400 tuples"):
+        window_prob_geometric(parse_pattern("o:[0,1]"), 0.9999999)
+
+
 def test_pattern_longer_than_n_never_occurs():
     res = exact_prob_geometric_consecutive(3, 0.5, parse_pattern("u:[0,0,0,0]"))
     assert (res.lo, res.hi) == (0.0, 0.0)

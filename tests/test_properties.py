@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compevo import experiment, patterns, properties, theory
+from compevo import core, experiment, patterns, properties, theory
 from compevo.cli import main
 from compevo.core import GuardExceeded, PatternKind, PatternSpec, UnsupportedProperty
 from compevo.oracle import exact_prob_geometric_consecutive
@@ -68,7 +68,7 @@ def test_every_statistic_is_in_the_readme():
 @settings(max_examples=40, deadline=None)
 @given(matrices())
 def test_batch_route_agrees_with_scalar_route(samples):
-    for prop in PROPERTIES:
+    for prop in PROPERTIES + RUNS:
         _assert_routes_agree(prop, samples)
 
 
@@ -78,8 +78,8 @@ def test_row_blocks_agree_with_one_call(samples):
     # three copies: 3 to 18 rows in blocks of two, the last one short when odd
     samples = np.concatenate([samples, samples[::-1], samples])
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(properties, "BLOCK_TERMS", 2 * samples.shape[1])
-        _assert_blocks_agree(PROPERTIES, samples)
+        monkeypatch.setattr(core, "BLOCK_TERMS", 2 * samples.shape[1])
+        _assert_blocks_agree(PROPERTIES + RUNS, samples)
 
 
 EDGE_SHAPES = [
@@ -102,6 +102,15 @@ WIDE = [Property("tmax_ge", {"r": 1000}), Property("tmin_ge", {"r": 40000}),
         Property("contains", spec="u:[200]"), Property("contains", spec="e:[40000,1]"),
         Property("contains", spec="l:[1000],127")]
 
+# runs of k consecutive terms for every k from 4 to 9, past the n <= 8 of the
+# drawn matrices, and negative k: k = n, k = n + 1 and lengths that are no power of two
+RUNS = ([Property(sid, {"k": k})
+         for sid in ("cmax_ge", "gmax_ge", "cmin_gt", "gmin_gt", "equal_run", "increasing_run")
+         for k in (-1, *range(4, 10))]
+        + [Property("square", {"k": k}) for k in range(4, 10)]  # a square needs k >= 1
+        + [Property("contains", spec=text) for text in ("u:[1,1,1,1,1]", "e:[0,0,1,1,1]",
+                                                        "l:[1,1,0]")])
+
 
 # the samplers return the narrowest signed dtype that holds their terms; the
 # unsigned copies check that no route takes a difference of two terms, which wraps
@@ -109,11 +118,11 @@ WIDE = [Property("tmax_ge", {"r": 1000}), Property("tmin_ge", {"r": 40000}),
     np.array(r, dtype=dtype) for dtype in (np.int64, np.int8, np.int16, np.uint16)
     for r in EDGE_SHAPES if max(map(max, r)) <= np.iinfo(dtype).max])
 def test_routes_agree_on_edge_shapes(monkeypatch, rows):
-    for prop in PROPERTIES + WIDE:
+    for prop in PROPERTIES + WIDE + RUNS:
         _assert_routes_agree(prop, rows)
     # five copies in blocks of two rows, the last one short
-    monkeypatch.setattr(properties, "BLOCK_TERMS", 2 * rows.shape[1])
-    _assert_blocks_agree(PROPERTIES + WIDE, np.concatenate([rows] * 5))
+    monkeypatch.setattr(core, "BLOCK_TERMS", 2 * rows.shape[1])
+    _assert_blocks_agree(PROPERTIES + WIDE + RUNS, np.concatenate([rows] * 5))
 
 
 def _real_size_rows():
@@ -125,9 +134,24 @@ def _real_size_rows():
 
 def test_row_blocks_at_the_real_block_size():
     samples = _real_size_rows()
-    rows = properties.BLOCK_TERMS // 2500
+    rows = core.block_rows(2500)
     assert 1 < rows < 320 and 320 % rows  # several blocks, the last one short
     _assert_blocks_agree(PROPERTIES + WIDE, samples)
+
+
+def test_long_runs_agree_on_real_size_rows():
+    # 16 to 1000 consecutive terms, each holding on some rows and not on others; every
+    # term of the stretched rows repeats 25 times, so some have no short component
+    real = _real_size_rows()
+    samples = np.concatenate([real, np.repeat(real[::4, :100], 25, axis=1)])
+    long_runs = [Property("gmax_ge", {"k": 1000}), Property("cmax_ge", {"k": 40}),
+                 Property("gmin_gt", {"k": 100}), Property("cmin_gt", {"k": 49}),
+                 Property("equal_run", {"k": 1000, "nonzero": False}),
+                 Property("contains", spec=f"e:[{','.join('0' * 16)}]"),
+                 Property("contains", spec=f"u:[{','.join('1' * 20 + '2' * 3)}]")]
+    for prop in long_runs:
+        _assert_routes_agree(prop, samples)
+        assert 0 < prop.holds_batch(samples).sum() < len(samples), prop
 
 
 def test_ordering_patterns_scan_only_the_rows_not_found(monkeypatch):
@@ -153,7 +177,7 @@ def test_ordering_patterns_scan_only_the_rows_not_found(monkeypatch):
 
 
 def test_zero_rows_give_an_empty_answer():
-    for prop in PROPERTIES + WIDE:
+    for prop in PROPERTIES + WIDE + RUNS:
         out = prop.holds_batch(np.zeros((0, 5), dtype=np.int8))
         assert out.dtype == bool and out.shape == (0,)
 
@@ -166,7 +190,7 @@ def test_mixed_block_ordering_agrees_on_both_routes(monkeypatch):
     want = [True, False, True, False]
     assert [prop.holds(row) for row in samples] == want
     assert prop.holds_batch(samples).tolist() == want
-    monkeypatch.setattr(properties, "BLOCK_TERMS", 4)  # one row per block, its own values
+    monkeypatch.setattr(core, "BLOCK_TERMS", 4)  # one row per block, its own values
     assert prop.holds_batch(samples).tolist() == want
 
 
