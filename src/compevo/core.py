@@ -17,10 +17,11 @@ import numpy as np
 
 TermsLike = Union["Composition", Sequence[int], np.ndarray]
 
-# Terms per row block of Property.holds_batch and of the urn's star count in
-# samplers.uniform_bars_batch.  Median ms of one 4096-row chunk as the
-# samplers draw it (narrow dtypes), whole matrix | blocks of 2^16, 2^17,
-# 2^18, 2^19 and 2^20 terms, numpy 2.4.6 on a 2-core x86-64 host:
+# Terms per row block of Property.holds_batch and of the blocks that
+# samplers.geometric_blocks and uniform_blocks hand on.  Median ms of one
+# 4096-row chunk as the samplers draw it (narrow dtypes), whole matrix |
+# blocks of 2^16, 2^17, 2^18, 2^19 and 2^20 terms, numpy 2.4.6 on a 2-core
+# x86-64 host:
 #   n = 2500  cmax_ge k=2, p = 0.02     8.8 |  3.4  2.9  2.8  2.9  3.9
 #             cmin_gt k=1, p = 0.98    34.4 |  9.7  8.3  9.9 11.6 13.8
 #             equal_run k=3, p = 0.3   11.7 |  6.3  5.3  5.2  5.4  6.7

@@ -278,16 +278,12 @@ def poisson_limit(statistic_id: str, params: dict, alpha: float) -> TheoryPredic
 # ---------------------------------------------------------------------------
 # threshold locations
 
-def transfer_m_star(n: int, p_star: float) -> float:
-    """Transfer a geometric-model threshold to the uniform model: m* = n*p*/q*."""
-    return n * p_star / (1.0 - p_star)
-
-
 def threshold_location(statistic_id: str, params: dict, n: int) -> TheoryPrediction:
     """Threshold p* or q* in the geometric model, plus the transferred m*.
 
     ``details`` carries the parameter name, its exponent of n, and the
-    uniform-model location m* = n*p*/q* with its exponent.
+    uniform-model location m* = n*p*/q* with its exponent.  An m* past the
+    largest float is refused.
     """
     if n < 2:  # p* or q* = n^exponent is below 1 only from n = 2
         raise ValueError("need n >= 2")
@@ -295,19 +291,23 @@ def threshold_location(statistic_id: str, params: dict, n: int) -> TheoryPredict
         raise ValueError(f"need n <= {sys.float_info.max:.4g}, the largest float")
     prop, row = _statistic(statistic_id, params)
     if row.threshold is not None:
-        return row.threshold(prop, n)
-    s = _scaling(prop, row)
-    exponent = float(s.exponent)
-    value = n ** exponent
-    if s.param == "p":  # p* = n^exponent; m* = n*p*/q* ~ n^(1+exponent)
-        p_star, m_exponent, side = value, 1.0 + exponent, "appearance"
-    else:  # q* = n^exponent; m* ~ n^(1-exponent)
-        p_star, m_exponent, side = 1.0 - value, 1.0 - exponent, "disappearance"
-    return TheoryPrediction(value, "threshold_location", regime=f"{side} of {s.what}",
-                            exact=False,
-                            details={"param": s.param, "exponent": exponent,
-                                     "m_star": transfer_m_star(n, p_star),
-                                     "m_exponent": m_exponent})
+        prediction = row.threshold(prop, n)
+    else:
+        s = _scaling(prop, row)
+        exponent = float(s.exponent)
+        value = n ** exponent
+        if s.param == "p":  # p* = n^exponent; m* = n*p*/q* ~ n^(1+exponent)
+            p_star, q_star, m_exponent, side = value, 1.0 - value, 1.0 + exponent, "appearance"
+        else:  # q* = n^exponent, kept as it is: 1 - q* may round to 1; m* ~ n^(1-exponent)
+            p_star, q_star, m_exponent, side = 1.0 - value, value, 1.0 - exponent, "disappearance"
+        prediction = TheoryPrediction(value, "threshold_location", regime=f"{side} of {s.what}",
+                                      exact=False,
+                                      details={"param": s.param, "exponent": exponent,
+                                               "m_star": n * p_star / q_star,
+                                               "m_exponent": m_exponent})
+    if not math.isfinite(prediction.details["m_star"]):
+        raise ValueError(f"m* at n={n:.4g} overflows")
+    return prediction
 
 
 def square_threshold(n: int, c: float) -> TheoryPrediction:

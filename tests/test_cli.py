@@ -123,6 +123,9 @@ def test_sample_seed_defaults_to_zero():
     # a bare OverflowError: n^exponent of an n no float holds, and alpha^2 beyond the floats
     (f"theory threshold cmax_ge k=2 n={10 ** 400}", "need n <= 1.798e+308, the largest float"),
     ("theory poisson cmax_ge k=2 alpha=1e200", "the Poisson mean at alpha=1e+200 overflows"),
+    # a bare ZeroDivisionError (1 - q* rounded to 1), and m* = Infinity printed with exit 0
+    (f"theory threshold cmin_gt k=2 n={10 ** 300}", "m* at n=1e+300 overflows"),
+    (f"theory threshold square k=2 n={10 ** 307}", "m* at n=1e+307 overflows"),
 ])
 def test_invalid_model_point_is_one_error_line(capsys, argv, message):
     assert run_cli(*argv.split()) == (1, "")

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from compevo import experiment
 from compevo.cli import main
 from compevo.experiment import (CHUNK, CSV_HEADER, ChunkError, ExperimentConfig, GridPoint,
                                 run_sweep, rows_to_csv, rows_to_json)
+from compevo.properties import Property
 
 
 def _config(**overrides):
@@ -425,6 +427,21 @@ def test_theory_error_is_raised_before_the_monte_carlo_run(monkeypatch):
     monkeypatch.setattr(experiment, "_chunk_successes", no_chunks)
     with pytest.raises(ValueError, match="alpha must be positive"):
         run_sweep(cfg)
+
+
+def test_a_chunk_is_decided_without_its_matrix():
+    # the (4096, 2500) int8 matrix alone is 9.8 MiB; deciding the chunk one row
+    # block at a time peaked at 2.3 MiB (the urn's tokens, one block and the
+    # predicate's temporaries), against 11.4 MiB with the whole matrix
+    point = GridPoint(2500, "uniform", m=50)
+    prop = Property("contains", {}, spec="u:[1,1]")
+    tracemalloc.start()
+    try:
+        experiment._chunk_successes(point, prop, 1, 0, 0, CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_chunk_failure_names_its_place_in_the_sweep(monkeypatch):

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from compevo.core import BLOCK_TERMS, count_compositions
+from compevo.core import BLOCK_TERMS, block_rows, count_compositions
+from compevo.experiment import GridPoint, _chunk_successes
 from compevo.oracle import exact_prob_geometric_consecutive, iter_uniform, negbin_log_pmf
 from compevo.properties import Property
 from compevo.rng import RngStream, derive_key, splitmix64
-from compevo.samplers import (SPARSE_BELOW, _sparse_geometric_terms, bridge_terms,
-                              geometric_terms, sample_bridge, sample_geometric,
-                              sample_uniform_bars, uniform_bars_batch)
+from compevo.samplers import (SPARSE_BELOW, _geometric_gaps, _matrix, _sparse_blocks,
+                              _term_dtype, bridge_terms, geometric_blocks, geometric_terms,
+                              sample_bridge, sample_geometric, sample_uniform_bars,
+                              uniform_bars_batch, uniform_blocks)
 from conftest import chi_square_gof, chi_square_two_sample
 
 ALPHA = 1e-4
@@ -123,12 +125,56 @@ def test_sparse_positions_span_gap_blocks():
         def __init__(self, gen):
             self.gen = gen
 
-        def geometric(self, prob, size):
-            return self.gen.geometric(prob, size=min(size, 5) if prob == P_SPARSE else size)
+        def standard_exponential(self, size):
+            return self.gen.standard_exponential(min(size, 5))
 
-    whole = _sparse_geometric_terms((30, 40), P_SPARSE, RngStream(45).generator)
-    pieces = _sparse_geometric_terms((30, 40), P_SPARSE, FewGaps(RngStream(45).generator))
+        def geometric(self, prob, size):
+            return self.gen.geometric(prob, size=size)
+
+    def terms(gen):
+        return _matrix(_sparse_blocks(40, 30, P_SPARSE, gen), 30, 40)
+
+    whole = terms(RngStream(45).generator)
+    pieces = terms(FewGaps(RngStream(45).generator))
     assert np.array_equal(whole > 0, pieces > 0)
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-100, 1e-12, 1e-6, 1e-3, 0.01, 0.05,
+                               P_SPARSE, np.nextafter(SPARSE_BELOW, 0.0)])
+def test_gap_kernel_is_numpy_geometric(p):
+    # bit for bit, under a cap that the gaps of small p pass and one that only
+    # the gaps of p <= 1e-100 reach
+    for cap in (10 ** 6 + 1, 2 ** 62):
+        got = _geometric_gaps(RngStream(72).generator, p, 50_000, cap)
+        want = np.minimum(RngStream(72).generator.geometric(p, size=50_000), cap)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _flat_sparse_draw(n, count, p, gen):
+    """The sparse path as one flat scatter into a zeroed (count, n) matrix, with
+    numpy's own geometric gaps."""
+    total = count * n
+    mean = total * p
+    size = int(mean + 4.0 * math.sqrt(mean)) + 16
+    blocks, reach = [], 0
+    while reach <= total:
+        positions = np.cumsum(np.minimum(gen.geometric(p, size=size), total + 1)) + (reach - 1)
+        blocks.append(positions)
+        reach = int(positions[-1]) + 1
+    positions = np.concatenate(blocks)
+    positions = positions[:np.searchsorted(positions, total)]
+    values = gen.geometric(1.0 - p, size=positions.size)
+    out = np.zeros(total, dtype=_term_dtype(int(values.max(initial=0))))
+    out[positions] = values
+    return out.reshape(count, n)
+
+
+@pytest.mark.parametrize("n, count, p", [(7, 37450, 0.15), (200, 4096, 0.05), (2500, 4096, 0.02),
+                                         (2500, 105, 1e-6), (2500, 0, 0.05)])
+def test_sparse_blocks_are_the_flat_draw(n, count, p):
+    got = geometric_terms(n, p, RngStream(73), count=count)
+    want = _flat_sparse_draw(n, count, p, RngStream(73).generator)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_dense_path_is_the_inverse_cdf():
@@ -269,6 +315,47 @@ def test_uniform_batch_is_the_reference_urn(n, m, count):
     want = _reference_urn(n, m, count, RngStream(67).generator)
     assert out.shape == (count, n) and out.dtype == np.min_scalar_type(-1 - m)
     assert out.tolist() == want
+
+
+# -- the block route: each chunk one row block at a time ----------------------
+
+# each sampler path: its model, and its m or p at n
+BLOCK_PATHS = {
+    "stars": ("uniform", lambda n: min(50, n - 2)),
+    "bars": ("uniform", lambda n: n + 200),  # int16 terms
+    "sparse": ("geometric", lambda n: 0.05),
+    "dense": ("geometric", lambda n: 0.9),  # int16 terms at the larger counts
+    "p=0": ("geometric", lambda n: 0.0),
+}
+BLOCK_CASES = [(path, n, count) for path in BLOCK_PATHS for n in (1, 7, 200, 2500)
+               if not (path == "stars" and n == 1)  # m < n - 1 has no m at n = 1
+               for count in (0, 1, block_rows(n) - 1, block_rows(n) + 1, 4096)]
+
+
+@pytest.mark.parametrize("path, n, count", BLOCK_CASES)
+def test_blocks_are_the_matrix(path, n, count):
+    model, param = BLOCK_PATHS[path]
+    point = (GridPoint(n, model, m=param(n)) if model == "uniform"
+             else GridPoint(n, model, p=param(n)))
+
+    def stream():
+        return RngStream(74, 0).substream(2).substream(3)
+
+    if model == "uniform":
+        blocks = uniform_blocks(n, point.m, count, stream())
+        matrix = uniform_bars_batch(n, point.m, count, stream())
+    else:
+        blocks = geometric_blocks(n, point.p, stream(), count)
+        matrix = geometric_terms(n, point.p, stream(), count=count)
+    # a block is a reused buffer: keep a copy of each before the next is drawn
+    got = [block.copy() for block in blocks]
+    rows = block_rows(n)
+    assert [len(b) for b in got] == ([min(rows, count - s) for s in range(0, count, rows)] or [0])
+    joined = np.concatenate(got)
+    assert joined.shape == matrix.shape == (count, n) and joined.dtype == matrix.dtype
+    assert joined.tobytes() == matrix.tobytes()
+    prop = Property("contains", {}, spec="e:[1,1]")
+    assert _chunk_successes(point, prop, 74, 2, 3, count) == int(prop.holds_batch(matrix).sum())
 
 
 def test_uniform_batch_validation():
