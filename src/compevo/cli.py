@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: sample, stats, match, theory, sweep, render, oracle.
-Exit codes: 0 success, 1 usage error, 2 guard exceeded or unsupported
-property.  Model and statistic parameters are given as key=value tokens, e.g.
+Exit codes: 0 success, 1 usage error or bad value (one too large for a float
+too), 2 guard exceeded or unsupported property.  Model and statistic parameters are given as key=value tokens, e.g.
 ``compevo sample --geometric n=100 p=0.5 --count 3``.  Each request takes
 exactly its own keys, with the types of ``TYPES``: its model's, its
 statistic row's, and ``alpha`` or ``n`` for ``theory poisson``/``threshold``.
@@ -333,7 +333,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except (GuardExceeded, UnsupportedProperty, ChunkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, PatternSyntaxError, ValueError) as exc:
+    except (UsageError, PatternSyntaxError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,8 @@
   answer depends on that row alone, so the split never changes an answer;
 * its geometric oracle form, when it has one: an ``oracle.Automaton`` that
   recognizes the statistic, read by ``oracle.transfer``;
-* its ``theory.Scaling`` (threshold side and exponent, Poisson mean).
+* its ``theory.Scaling`` (threshold side and exponent, Poisson mean); a row that is a
+  consecutive pattern (``square`` is k^k) takes that pattern's, from ``_consecutive_scaling``.
 
 ``Property`` (id, parameters, parsed pattern) is the picklable handle callers
 hold; its methods look up the row.
@@ -95,8 +96,6 @@ class StatisticDef:
     kind: PatternKind | None = None  # consecutive patterns of this kind only
     oracle_form: Callable[[Property], oracle.Automaton] | None = None  # None: no oracle
     scaling: Callable[[Property], Scaling] | None = None
-    # the threshold when it is no power of n; replaces the scaling's
-    threshold: Callable[[Property, int], theory.TheoryPrediction] | None = None
 
     @property
     def needs(self) -> tuple[str, ...]:
@@ -227,7 +226,7 @@ def _pattern_row(kind: PatternKind | None, scaling=None) -> StatisticDef:
     return StatisticDef(holds=lambda prop, c: patterns.match(c, prop.spec).exists,
                         holds_batch=_pattern_batch, keys=("spec", "side"), kind=kind,
                         oracle_form=None if kind is PatternKind.ORDERING else _consecutive_form,
-                        scaling=scaling)
+                        scaling=scaling or _spec_scaling)
 
 
 # u:[0] matches every term: the form of a statistic that always holds
@@ -248,16 +247,18 @@ def _tmin_form(prop: Property) -> oracle.Automaton:
                             lambda state: True)
 
 
-def _exact_scaling(prop: Property) -> Scaling:
+def _consecutive_scaling(kind: PatternKind, size: int, length: int, side, rho=1) -> Scaling:
+    """Exact and upper e/u/l patterns appear at p* = n^(-1/size); exact and lower ones disappear
+    at q* = n^(-1/length), of mean rho*alpha^length.  No terms: a run's k may be 10^20."""
+    if kind is PatternKind.UPPER or (kind is PatternKind.EXACT and side != "disappear"):
+        return Scaling("p", size, f"{kind.name.lower()} pattern of size {size}")
+    return Scaling("q", length, f"{kind.name.lower()} pattern of length {length}", coefficient=rho)
+
+
+def _spec_scaling(prop: Property) -> Scaling:
     spec = prop.spec
-    if _appears(prop):
-        return Scaling("p", spec.size, f"exact pattern of size {spec.size}")
-    return Scaling("q", spec.length, f"exact pattern of length {spec.length}")
-
-
-def _lower_scaling(prop: Property) -> Scaling:
-    rho = theory.lower_pattern_rho(prop.spec)
-    return Scaling("q", prop.spec.length, f"lower pattern, rho = {rho}", coefficient=rho)
+    rho = theory.lower_pattern_rho(spec) if spec.kind is PatternKind.LOWER else 1
+    return _consecutive_scaling(spec.kind, spec.size, spec.length, prop.params["side"], rho)
 
 
 def _ordering_scaling(prop: Property) -> Scaling:
@@ -380,16 +381,16 @@ def _any_square_batch(prop: Property, samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def _longest_run(report, kind: PatternKind, term: int, param: str, what: str) -> StatisticDef:
-    """Longest component or gap >= k: the pattern term^k of ``kind``."""
+def _longest_run(report, kind: PatternKind, term: int, side: str) -> StatisticDef:
+    """Longest component or gap >= k: the pattern term^k of ``kind``, on its ``side``."""
     return StatisticDef(
         holds=lambda prop, c: report(c).longest >= prop.params["k"],
         holds_batch=lambda prop, x: _has_true_run(patterns.COMPARE[kind](x, term),
                                                   prop.params["k"]),
         keys=("k", "side"),
         oracle_form=lambda prop: _run_form(kind, term, prop.params["k"]),
-        scaling=lambda prop: Scaling(param, prop.params["k"],
-                                     f"{what} of length >= {prop.params['k']}"))
+        scaling=lambda prop: _consecutive_scaling(kind, term * prop.params["k"],
+                                                  prop.params["k"], side))
 
 
 def _shortest_run(report, run_class: int, param: str, what: str) -> StatisticDef:
@@ -409,16 +410,14 @@ def _shortest_run(report, run_class: int, param: str, what: str) -> StatisticDef
 
 
 STATISTICS: dict[str, StatisticDef] = {
-    "exact_consec": _pattern_row(PatternKind.EXACT, _exact_scaling),
-    "upper_consec": _pattern_row(
-        PatternKind.UPPER,
-        lambda prop: Scaling("p", prop.spec.size, f"upper pattern of size {prop.spec.size}")),
-    "lower_consec": _pattern_row(PatternKind.LOWER, _lower_scaling),
+    "exact_consec": _pattern_row(PatternKind.EXACT),
+    "upper_consec": _pattern_row(PatternKind.UPPER),
+    "lower_consec": _pattern_row(PatternKind.LOWER),
     "ordering_consec": _pattern_row(PatternKind.ORDERING, _ordering_scaling),
     "contains": _pattern_row(None, _contains_scaling),
     # a component of length >= k is the upper pattern 1^k, a gap the exact pattern 0^k
-    "cmax_ge": _longest_run(analysis.components, PatternKind.UPPER, 1, "p", "components"),
-    "gmax_ge": _longest_run(analysis.gaps, PatternKind.EXACT, 0, "q", "gaps"),
+    "cmax_ge": _longest_run(analysis.components, PatternKind.UPPER, 1, "appear"),
+    "gmax_ge": _longest_run(analysis.gaps, PatternKind.EXACT, 0, "disappear"),
     "cmin_gt": _shortest_run(analysis.components, 1, "q", "components"),
     "gmin_gt": _shortest_run(analysis.gaps, 0, "p", "gaps"),
     "tmax_ge": StatisticDef(
@@ -427,7 +426,7 @@ STATISTICS: dict[str, StatisticDef] = {
         keys=("r", "side"),
         # the one-term upper pattern [r]; [0] for r <= 0 matches every term
         oracle_form=lambda prop: _run_form(PatternKind.UPPER, max(prop.params["r"], 0), 1),
-        scaling=lambda prop: Scaling("p", prop.params["r"], f"terms >= {prop.params['r']}")),
+        scaling=lambda prop: _consecutive_scaling(PatternKind.UPPER, prop.params["r"], 1, None)),
     "tmin_ge": StatisticDef(
         holds=lambda prop, c: analysis.extremes(c).tmin >= prop.params["r"],
         holds_batch=lambda prop, x: (x >= prop.params["r"]).all(axis=1),
@@ -470,12 +469,13 @@ STATISTICS: dict[str, StatisticDef] = {
     "square": StatisticDef(
         holds=_square_holds,
         holds_batch=lambda prop, x: _has_true_run(x == prop.params["k"], prop.params["k"]),
-        keys=("k", "c"),
+        keys=("k", "side"),
         # a 0-square has no defined meaning: holds and holds_batch would disagree
         minimum=1,
         # a k-square is a run of k terms equal to k: the exact pattern k^k
         oracle_form=lambda prop: _run_form(PatternKind.EXACT, prop.params["k"], prop.params["k"]),
-        threshold=lambda prop, n: theory.square_threshold(n, prop.params["c"])),
+        scaling=lambda prop: _consecutive_scaling(PatternKind.EXACT, prop.params["k"] ** 2,
+                                                  prop.params["k"], prop.params["side"])),
     "any_square": StatisticDef(
         holds=lambda prop, c: analysis.largest_square(c) >= prop.params["min_k"],
         holds_batch=_any_square_batch,

@@ -9,13 +9,19 @@ equalities by the experiment harness.
 only.  Each id's row in ``properties.STATISTICS`` checks the parameters and
 gives a ``Scaling``: the threshold side (p for appearance, q for
 disappearance), its exponent of n and the Poisson mean at the threshold.
-A ``side`` the statistic does not have, and a parameter at which its count
-does not grow with n (k = 1 for ``equal_terms``), raise ``UnsupportedProperty``.
+A row that is a consecutive pattern takes that pattern's dichotomy: ``square``,
+the exact pattern k^k, appears at p* = n^(-1/k^2) and disappears at
+q* = n^(-1/k).  ``square_threshold``, the largest-square heuristic, is a closed
+form of its own.  A ``side`` the statistic does not have, a parameter at which
+its count does not grow with n (k = 1 for ``equal_terms``) and one at which its
+Poisson mean is not positive (k <= 0 for ``cmin_gt``) raise
+``UnsupportedProperty``.
 
 Every form that takes a model point refuses an invalid one first, through
 ``core.check_geometric`` or ``core.check_uniform``; a per-window form checks
 (pattern length, p).  ``threshold_location`` needs n >= 2, since p* or q* =
 n**exponent is below 1 only from there, and ``square_threshold`` needs n >= 3.
+Both refuse an m* that no float holds.
 
 Products and binomial ratios are evaluated in log space where underflow is
 possible.
@@ -245,7 +251,8 @@ def _scaling(prop, row) -> Scaling:
     side = prop.params["side"]
     if side is not None and side != s.side:
         raise UnsupportedProperty(f"statistic {sid!r} has no {side!r} threshold")
-    if s.power < 1:  # the count does not grow with n: the property always or never holds
+    # the count does not grow with n, or counts nothing: the property always or never holds
+    if s.power < 1 or (s.coefficient is not None and s.coefficient <= 0):
         at = ", ".join(f"{key} = {prop.spec if key == 'spec' else prop.params[key]}"
                        for key in row.needs)
         raise UnsupportedProperty(f"statistic {sid!r} has no threshold at {at}")
@@ -289,25 +296,25 @@ def threshold_location(statistic_id: str, params: dict, n: int) -> TheoryPredict
         raise ValueError("need n >= 2")
     if n > sys.float_info.max:  # n^exponent and m* are floats
         raise ValueError(f"need n <= {sys.float_info.max:.4g}, the largest float")
-    prop, row = _statistic(statistic_id, params)
-    if row.threshold is not None:
-        prediction = row.threshold(prop, n)
-    else:
-        s = _scaling(prop, row)
-        exponent = float(s.exponent)
-        value = n ** exponent
-        if s.param == "p":  # p* = n^exponent; m* = n*p*/q* ~ n^(1+exponent)
-            p_star, q_star, m_exponent, side = value, 1.0 - value, 1.0 + exponent, "appearance"
-        else:  # q* = n^exponent, kept as it is: 1 - q* may round to 1; m* ~ n^(1-exponent)
-            p_star, q_star, m_exponent, side = 1.0 - value, value, 1.0 - exponent, "disappearance"
-        prediction = TheoryPrediction(value, "threshold_location", regime=f"{side} of {s.what}",
-                                      exact=False,
-                                      details={"param": s.param, "exponent": exponent,
-                                               "m_star": n * p_star / q_star,
-                                               "m_exponent": m_exponent})
-    if not math.isfinite(prediction.details["m_star"]):
+    s = _scaling(*_statistic(statistic_id, params))
+    exponent = float(s.exponent)
+    value = n ** exponent
+    if s.param == "p":  # p* = n^exponent; m* = n*p*/q* ~ n^(1+exponent)
+        p_star, q_star, m_exponent, side = value, 1.0 - value, 1.0 + exponent, "appearance"
+    else:  # q* = n^exponent, kept as it is: 1 - q* may round to 1; m* ~ n^(1-exponent)
+        p_star, q_star, m_exponent, side = 1.0 - value, value, 1.0 - exponent, "disappearance"
+    m_star = n * p_star / q_star if q_star else math.inf  # p* may round to 1, q* to 0
+    return TheoryPrediction(value, "threshold_location", regime=f"{side} of {s.what}",
+                            exact=False,
+                            details={"param": s.param, "exponent": exponent,
+                                     "m_star": _finite_m_star(m_star, n),
+                                     "m_exponent": m_exponent})
+
+
+def _finite_m_star(m_star: float, n: int) -> float:
+    if not math.isfinite(m_star):
         raise ValueError(f"m* at n={n:.4g} overflows")
-    return prediction
+    return m_star
 
 
 def square_threshold(n: int, c: float) -> TheoryPrediction:
@@ -320,4 +327,4 @@ def square_threshold(n: int, c: float) -> TheoryPrediction:
     k_star = (ln / lln) * (1.0 + c * llln / lln)
     return TheoryPrediction(k_star, "threshold_location", exact=False,
                             regime="largest square side; seen when m ~ n log n/log log n",
-                            details={"param": "k", "m_star": n * ln / lln})
+                            details={"param": "k", "m_star": _finite_m_star(n * ln / lln, n)})

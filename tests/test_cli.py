@@ -10,7 +10,7 @@ import pytest
 
 import compevo
 from compevo import experiment
-from compevo.cli import main, parse_composition
+from compevo.cli import CLOSED_FORMS, main, parse_composition
 
 
 def run_cli(*argv):
@@ -125,11 +125,36 @@ def test_sample_seed_defaults_to_zero():
     ("theory poisson cmax_ge k=2 alpha=1e200", "the Poisson mean at alpha=1e+200 overflows"),
     # a bare ZeroDivisionError (1 - q* rounded to 1), and m* = Infinity printed with exit 0
     (f"theory threshold cmin_gt k=2 n={10 ** 300}", "m* at n=1e+300 overflows"),
-    (f"theory threshold square k=2 n={10 ** 307}", "m* at n=1e+307 overflows"),
+    (f"theory square-threshold n={10 ** 307}", "m* at n=1e+307 overflows"),
+    # a bare ZeroDivisionError: p* = n^(-1e-20) rounded to 1
+    (f"theory threshold cmax_ge k={10 ** 20} n=100", "m* at n=100 overflows"),
 ])
 def test_invalid_model_point_is_one_error_line(capsys, argv, message):
     assert run_cli(*argv.split()) == (1, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# small valid values of every key a closed form may take but n
+_SMALL = {"p": "0.3", "m": "2", "r": "2", "c": "0.0", "spec": "e:[1]"}
+
+
+@pytest.mark.parametrize("argv", [
+    # each closed form that takes n died in a traceback at n = 10^400
+    *(["theory", what, f"n={10 ** 400}", *(f"{key}={_SMALL[key]}" for key in keys if key != "n")]
+      for what, (_, keys) in CLOSED_FORMS.items() if "n" in keys),
+    # p* = n^(-1/k) rounded to 1 and m* = n p*/q* divided by zero
+    *(["theory", "threshold", sid, f"{key}={10 ** 20}", "n=100"]
+      for sid, key in [("cmax_ge", "k"), ("tmax_ge", "r"), ("square", "k")]),
+    # OverflowError from the oracle: a float of r, and a tuple of k terms
+    ["oracle", "geometric", "n=3", "p=0.5", "--statistic", "tmax_ge", f"r={10 ** 400}"],
+    ["oracle", "geometric", "n=3", "p=0.5", "--pattern", f"e:[{10 ** 400}]"],
+    ["oracle", "geometric", "n=3", "p=0.5", "--statistic", "cmax_ge", f"k={10 ** 400}"],
+], ids=lambda argv: " ".join(argv).replace(str(10 ** 400), "10**400"))
+def test_a_huge_value_is_one_error_line(capsys, argv):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code in (1, 2) and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, key", [

@@ -311,6 +311,10 @@ POISSON_CASES = [
     pytest.param(Property("upper_consec", spec="u:[1,1]"), "some", id="upper_consec"),
     pytest.param(Property("lower_consec", spec="l:[0,1]"), "some", id="lower_consec"),
     pytest.param(Property("contains", spec="e:[2]"), "some", id="contains"),
+    # the exact pattern k^k: at n = 10^6 the oracle gives 0.632120 (k = 1) and 0.630282 (k = 2)
+    pytest.param(Property("square", {"k": 1}), "some", id="square-1-appear"),
+    pytest.param(Property("square", {"k": 2, "side": "disappear"}), "some",
+                 id="square-2-disappear"),
 ]
 
 

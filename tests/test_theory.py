@@ -162,6 +162,20 @@ def test_degenerate_k_has_no_threshold(sid, params):
         theory.threshold_location(sid, params, 100)
 
 
+@pytest.mark.parametrize("sid,params,at", [
+    ("cmin_gt", {"k": 0}, "k = 0"), ("cmin_gt", {"k": -1}, "k = -1"),
+    ("gmin_gt", {"k": 0}, "k = 0"), ("gmin_gt", {"k": -2}, "k = -2"),
+    ("tmin_ge", {"r": 0}, "r = 0"), ("tmin_ge", {"r": -1}, "r = -1"),
+])
+def test_degenerate_count_has_no_threshold(sid, params, at):
+    # no component, gap or term is ever this short: the Poisson mean k*alpha^2
+    # or r*alpha was <= 0, and cmin_gt k = -1 gave prob_some = -1.718
+    with pytest.raises(UnsupportedProperty, match=f"has no threshold at {at}$"):
+        theory.poisson_limit(sid, params, 1.0)
+    with pytest.raises(UnsupportedProperty, match=f"has no threshold at {at}$"):
+        theory.threshold_location(sid, params, 100)
+
+
 def test_theory_answers_only_the_side_a_statistic_has():
     # zero runs are there from the start: no appearance side with nonzero=False
     with pytest.raises(UnsupportedProperty):
@@ -203,6 +217,39 @@ def test_contains_a_consecutive_pattern_scales_as_its_kind_row(spec, side, kind_
                                                                               params, 1.5)
 
 
+def _run(k: int, term: int) -> str:
+    return "[" + ",".join([str(term)] * k) + "]"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_each_run_row_takes_its_consecutive_pattern_threshold(k):
+    # a k-square is the exact pattern k^k, on both sides; a component of length
+    # >= k the upper pattern 1^k, a gap the exact pattern 0^k and a term >= r
+    # the upper pattern [r]
+    pairs = [(("square", {"k": k, "side": side}),
+              ("exact_consec", {"spec": "e:" + _run(k, k), "side": side}))
+             for side in ("appear", "disappear")]
+    pairs += [(("cmax_ge", {"k": k}), ("upper_consec", {"spec": "u:" + _run(k, 1)})),
+              (("gmax_ge", {"k": k}), ("exact_consec", {"spec": "e:" + _run(k, 0),
+                                                        "side": "disappear"})),
+              (("tmax_ge", {"r": k}), ("upper_consec", {"spec": f"u:[{k}]"}))]
+    for (sid, params), (pattern_sid, pattern_params) in pairs:
+        for n in (100, 10 ** 4):
+            row = theory.threshold_location(sid, params, n)
+            pattern = theory.threshold_location(pattern_sid, pattern_params, n)
+            assert (row.value, row.details) == (pattern.value, pattern.details)
+        assert (theory.poisson_limit(sid, params, 1.5).value
+                == theory.poisson_limit(pattern_sid, pattern_params, 1.5).value)
+
+
+def test_run_rows_at_a_huge_k_build_no_terms():
+    # a run row reads its pattern's size and length: 10^20 terms would not fit in memory
+    for sid, key in [("cmax_ge", "k"), ("gmax_ge", "k"), ("square", "k"), ("tmax_ge", "r")]:
+        assert theory.poisson_limit(sid, {key: 10 ** 20}, 1.0).value == 1.0
+    # q* = n^(-1e-20) rounds to 1, so p* and m* to 0
+    assert theory.threshold_location("gmax_ge", {"k": 10 ** 20}, 100).details["m_star"] == 0.0
+
+
 def test_threshold_exponents():
     spec = "e:[3,1,4,1,5,9]"  # length 6, size 23
     up = theory.threshold_location("exact_consec", {"spec": spec, "side": "appear"}, 10 ** 4)
@@ -228,10 +275,6 @@ def test_square_heuristic_monotone():
     k5 = theory.square_threshold(10 ** 5, 0.0).value
     k9 = theory.square_threshold(10 ** 9, 0.0).value
     assert k9 > k5 > 1
-    # the square row's threshold replaces a scaling
-    for n, c in [(10 ** 5, 0.0), (10 ** 9, 0.5)]:
-        assert (theory.threshold_location("square", {"k": 2, "c": c}, n)
-                == theory.square_threshold(n, c))
 
 
 @pytest.mark.parametrize("n", [1, 2])
